@@ -1,11 +1,14 @@
 """Recursive rollout evaluation and report shaping.
 
-Forecasts beyond the model's chunk length are produced recursively: each
-chunk's predictions are written into a working copy of the scaled load
-column, so deeper chunks' short lags read earlier forecasts instead of the
-(unknown) truth.  Exogenous and calendar columns are taken as known over
-the forecast window.  Reports aggregate per-anchor relative error over the
-full anchor set, the holiday-touching subset, and a noise-injected rerun.
+Forecasts beyond the model's chunk length are produced recursively.  Each
+chunk gathers its lag rows from the scaled frame, then overwrites the load
+cell of every row past the anchor with that anchor's earlier forecasts, so
+deeper chunks' short lags read forecasts instead of the (unknown) truth.
+The frame itself is never copied or written.  Exogenous and calendar
+columns are taken as known over the forecast window.  Many anchors roll out
+together, with each chunk of all of them as one batched forward.  Reports
+aggregate per-anchor relative error over the full anchor set, the
+holiday-touching subset, and a noise-injected rerun.
 """
 from __future__ import annotations
 
@@ -25,6 +28,7 @@ from .frames import (
     inject_noise,
 )
 from .lags import LagSet, ScaledInput
+from .model import EVAL_DIRECTIVE, DropoutDirective
 from .training import mape
 
 SUBSETS = ("full", "holidays", "noisy")
@@ -67,6 +71,128 @@ class MetricsReport:
         return self.cells.get((horizon, subset))
 
 
+def _history_reads(horizon: int, tau: int, lags: np.ndarray):
+    """Every lag read a rollout takes from the frame itself, i.e. at or
+    before its anchor, chunk by chunk and oldest lag first: the read's
+    offset from the anchor, its chunk and its lag."""
+    chunk = np.repeat(np.arange(math.ceil(horizon / tau)), len(lags))
+    lag = np.tile(lags, len(chunk) // len(lags))
+    offset = tau * chunk - lag
+    past = offset <= 0
+    return offset[past], chunk[past], lag[past]
+
+
+def _exogenous(frame: TimeSeriesFrame) -> np.ndarray:
+    """Column indices of the exogenous and calendar views."""
+    return np.flatnonzero(np.arange(frame.n_features) != frame.target_index)
+
+
+def _window_faults(
+    frame: TimeSeriesFrame,
+    anchors: np.ndarray,
+    horizon: int,
+    tau: int,
+    lags: np.ndarray,
+) -> np.ndarray:
+    """Per-anchor faults of a rollout window, ``(5, anchors)`` masks.
+
+    Rows 0-3 stop a rollout, in the order it checks them: the window runs
+    past the frame; an exogenous or calendar value is missing inside the
+    window; the deepest lag reaches before the frame; a lag row read from
+    history has a gap.  Row 4 only stops scoring: a true load inside the
+    window is missing.  A row's verdict only counts where every earlier
+    row is clear.
+    """
+    n = frame.n_rows
+    offset, _, _ = _history_reads(horizon, tau, lags)
+    window = np.clip(anchors[:, None] + np.arange(1, horizon + 1), 0, n - 1)
+    reads = np.clip(anchors[:, None] + offset, 0, n - 1)
+    return np.stack(
+        [
+            anchors + horizon >= n,
+            frame.missing[window[:, :, None], _exogenous(frame)].any(axis=(1, 2)),
+            anchors - lags[0] < 0,
+            frame.missing[reads].any(axis=(1, 2)),
+            frame.missing[window, frame.target_index].any(axis=1),
+        ]
+    )
+
+
+def _raise_first_fault(
+    frame: TimeSeriesFrame,
+    anchors: np.ndarray,
+    horizon: int,
+    tau: int,
+    lags: np.ndarray,
+) -> None:
+    """Raise what a rollout from the first failing anchor raises, if any."""
+    faults = _window_faults(frame, anchors, horizon, tau, lags)[:4]
+    failing = faults.any(axis=0)
+    if not failing.any():
+        return
+    i = int(np.argmax(failing))
+    t0 = int(anchors[i])
+    fault = int(np.argmax(faults[:, i]))
+    if fault == 0:
+        raise FrameTooShortError(
+            f"anchor {t0} with horizon {horizon} runs past the frame "
+            f"({frame.n_rows} rows)"
+        )
+    if fault == 1:
+        window = frame.missing[t0 + 1 : t0 + 1 + horizon][:, _exogenous(frame)]
+        ts = frame.timestamps[t0 + 1 + int(np.argmax(window.any(axis=1)))]
+        raise CoverageError(
+            f"missing exogenous data at {format_timestamp(ts)} "
+            f"inside the forecast window"
+        )
+    if fault == 2:
+        raise FrameTooShortError(
+            f"anchor {t0} reaches before the frame at lag {int(lags[0])}"
+        )
+    offset, chunk, lag = _history_reads(horizon, tau, lags)
+    k = int(np.argmax(frame.missing[t0 + offset].any(axis=1)))
+    raise CoverageError(
+        f"missing data at {format_timestamp(frame.timestamps[t0 + offset[k]])} "
+        f"(lag {int(lag[k])} of chunk {int(chunk[k])})"
+    )
+
+
+def _rollout(
+    scaled: TimeSeriesFrame,
+    anchors,
+    horizon: int,
+    lag_set: LagSet,
+    scaler: Scaler,
+    tau: int,
+    predict,
+) -> np.ndarray:
+    """Forecasts ``(anchors, horizon)`` in original load units.
+
+    ``predict(c, x)`` maps chunk ``c``'s lag rows ``x`` ``(anchors, L, F)``
+    to scaled forecasts ``(anchors, tau)``.  Lag rows past an anchor read
+    that anchor's earlier forecasts in the target column, never the true
+    future load; their exogenous and calendar values are taken as known.
+    """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    anchors = np.asarray(anchors, dtype=np.int64)
+    lags = np.array(lag_set.lags)
+    _raise_first_fault(scaled, anchors, horizon, tau, lags)
+    if not len(anchors):
+        return np.empty((0, horizon))
+    tcol = scaled.target_index
+    chunks = math.ceil(horizon / tau)
+    out = np.empty((len(anchors), chunks * tau))
+    for c in range(chunks):
+        x = scaled.values[anchors[:, None] + c * tau - lags]
+        ahead = c * tau - lags  # hours past the anchor of each lag row
+        fed = ahead > 0
+        x[:, fed, tcol] = out[:, ahead[fed] - 1]
+        out[:, c * tau : (c + 1) * tau] = predict(c, x)
+    stats = scaler.stats[scaled.target_name]
+    return out[:, :horizon] * stats.std + stats.mean
+
+
 def forecast_rollout(
     model,
     scaled: TimeSeriesFrame,
@@ -74,69 +200,42 @@ def forecast_rollout(
     horizon: int,
     lag_set: LagSet,
     scaler: Scaler,
-    directive=None,
+    directive: DropoutDirective = EVAL_DIRECTIVE,
 ) -> np.ndarray:
     """Forecast hours t0+1 .. t0+horizon, in original load units.
 
-    True future loads are blanked from the working copy before the first
-    chunk, so any lag read landing past t0 can only see forecasts.
+    Each chunk is one ``model.forward`` call on a :class:`ScaledInput`;
+    lag reads landing past t0 see the earlier chunks' forecasts only.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    n = scaled.n_rows
-    if t0 + horizon >= n:
-        raise FrameTooShortError(
-            f"anchor {t0} with horizon {horizon} runs past the frame ({n} rows)"
-        )
     tau = model.config.horizon
-    tcol = scaled.target_index
-    future = slice(t0 + 1, t0 + 1 + horizon)
 
-    exo = np.ones(scaled.n_features, dtype=bool)
-    exo[tcol] = False
-    gaps = np.nonzero(scaled.missing[future][:, exo].any(axis=1))[0]
-    if gaps.size:
-        ts = scaled.timestamps[t0 + 1 + int(gaps[0])]
-        raise CoverageError(
-            f"missing exogenous data at {format_timestamp(ts)} "
-            f"inside the forecast window"
-        )
+    def predict(c: int, x: np.ndarray) -> np.ndarray:
+        chunk = ScaledInput(t0 + c * tau, lag_set.lags, x[0])
+        return model.forward(chunk, directive).values
 
-    values = scaled.values.copy()
-    missing = scaled.missing.copy()
-    values[future, tcol] = np.nan
-    missing[future, tcol] = True
+    return _rollout(scaled, [t0], horizon, lag_set, scaler, tau, predict)[0]
 
-    lags = np.array(lag_set.lags)
-    out = np.empty(horizon)
-    chunks = math.ceil(horizon / tau)
-    for c in range(chunks):
-        anchor = t0 + c * tau
-        rows = anchor - lags
-        if rows[0] < 0:
-            raise FrameTooShortError(
-                f"anchor {anchor} reaches before the frame at lag {lag_set.max_lag}"
-            )
-        bad = np.nonzero(missing[rows].any(axis=1))[0]
-        if bad.size:
-            row = int(rows[int(bad[0])])
-            raise CoverageError(
-                f"missing data at {format_timestamp(scaled.timestamps[row])} "
-                f"(lag {int(lags[int(bad[0])])} of chunk {c})"
-            )
-        x = ScaledInput(anchor, lag_set.lags, values[rows])
-        if directive is None:
-            pred = model.forward(x).values[0]
-        else:
-            pred = model.forward(x, directive).values[0]
-        take = min(tau, horizon - c * tau)
-        seg = slice(anchor + 1, anchor + 1 + take)
-        values[seg, tcol] = pred[:take]
-        missing[seg, tcol] = False
-        out[c * tau : c * tau + take] = pred[:take]
 
-    stats = scaler.stats[scaled.target_name]
-    return out * stats.std + stats.mean
+def forecast_rollout_batch(
+    model,
+    scaled: TimeSeriesFrame,
+    anchors,
+    horizon: int,
+    lag_set: LagSet,
+    scaler: Scaler,
+    directive: DropoutDirective = EVAL_DIRECTIVE,
+) -> np.ndarray:
+    """Row ``i`` is ``forecast_rollout`` from ``anchors[i]``; each chunk of
+    every anchor runs as one ``model.forward_batch`` call."""
+    return _rollout(
+        scaled,
+        anchors,
+        horizon,
+        lag_set,
+        scaler,
+        model.config.horizon,
+        lambda c, x: model.forward_batch(x, directive).values,
+    )
 
 
 def seasonal_naive(frame: TimeSeriesFrame, t0: int, horizon: int) -> np.ndarray:
@@ -157,29 +256,6 @@ def seasonal_naive(frame: TimeSeriesFrame, t0: int, horizon: int) -> np.ndarray:
     return frame.values[rows, col].copy()
 
 
-def _rollout_feasible(
-    frame: TimeSeriesFrame, t0: int, horizon: int, tau: int, lags: np.ndarray
-) -> bool:
-    """All historical reads clean, future exogenous known, truth observed."""
-    n = frame.n_rows
-    if t0 + horizon >= n or t0 - int(lags.max()) < 0:
-        return False
-    tcol = frame.target_index
-    future = np.arange(t0 + 1, t0 + 1 + horizon)
-    if frame.missing[future, tcol].any():
-        return False  # no truth to score against
-    exo = np.ones(frame.n_features, dtype=bool)
-    exo[tcol] = False
-    if frame.missing[future][:, exo].any():
-        return False
-    for c in range(math.ceil(horizon / tau)):
-        rows = t0 + c * tau - lags
-        historical = rows[rows <= t0]
-        if frame.missing[historical].any():
-            return False
-    return True
-
-
 def evaluation_anchors(
     frame: TimeSeriesFrame,
     rng: tuple[int, int],
@@ -188,16 +264,13 @@ def evaluation_anchors(
     lag_set: LagSet,
     stride: int = DEFAULT_STRIDE,
 ) -> np.ndarray:
-    """Feasible rollout anchors inside [start, end), stepping by stride."""
+    """Anchors inside [start, end), stepping by stride, whose window ends
+    inside the range, whose rollout can run, and whose truth is observed."""
     start, end = rng
-    lags = np.array(lag_set.lags)
-    found = [
-        t0
-        for t0 in range(start, end, stride)
-        if t0 + horizon <= end - 1
-        and _rollout_feasible(frame, t0, horizon, tau, lags)
-    ]
-    return np.array(found, dtype=np.int64)
+    anchors = np.arange(start, end, stride, dtype=np.int64)
+    anchors = anchors[anchors + horizon <= end - 1]
+    faults = _window_faults(frame, anchors, horizon, tau, np.array(lag_set.lags))
+    return anchors[~faults.any(axis=0)]
 
 
 def _holiday_column(frame: TimeSeriesFrame) -> np.ndarray | None:
@@ -254,42 +327,34 @@ def evaluate(
 
     for horizon in spec.horizons:
         anchors = evaluation_anchors(frame, rng, horizon, tau, lag_set, stride)
-        per_anchor = {}
-        noisy_per_anchor = {}
-        for t0 in anchors:
-            t0 = int(t0)
-            truth = raw_load[t0 + 1 : t0 + 1 + horizon]
-            pred = forecast_rollout(model, scaled, t0, horizon, lag_set, scaler)
-            per_anchor[t0] = mape(truth, pred)
-            if noisy_scaled is not None:
-                noisy_pred = forecast_rollout(
-                    model, noisy_scaled, t0, horizon, lag_set, scaler
-                )
-                noisy_per_anchor[t0] = mape(truth, noisy_pred)
+        window = anchors[:, None] + np.arange(1, horizon + 1)
+        truth = raw_load[window]
 
-        def put(subset: str, scores: dict) -> None:
-            if scores:
+        def scores(source: TimeSeriesFrame) -> np.ndarray:
+            preds = forecast_rollout_batch(
+                model, source, anchors, horizon, lag_set, scaler
+            )
+            return np.array([mape(t, p) for t, p in zip(truth, preds)])
+
+        def put(subset: str, values: np.ndarray) -> None:
+            if len(values):
                 report.cells[(horizon, subset)] = {
-                    "mape": float(np.mean(list(scores.values()))),
-                    "anchors": len(scores),
+                    "mape": float(np.mean(values)),
+                    "anchors": len(values),
                 }
             else:
                 report.cells[(horizon, subset)] = {"mape": None, "anchors": 0}
 
+        full = scores(scaled)
         if "full" in subsets:
-            put("full", per_anchor)
+            put("full", full)
         if "holidays" in subsets:
             if holiday_col is None:
-                put("holidays", {})
+                put("holidays", np.empty(0))
             else:
-                touching = {
-                    t0: score
-                    for t0, score in per_anchor.items()
-                    if (holiday_col[t0 + 1 : t0 + 1 + horizon] != 0).any()
-                }
-                put("holidays", touching)
+                put("holidays", full[(holiday_col[window] != 0).any(axis=1)])
         if "noisy" in subsets:
-            put("noisy", noisy_per_anchor)
+            put("noisy", scores(noisy_scaled))
     return report
 
 

@@ -16,7 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .evaluation import forecast_rollout
+# forecast_rollout is the one-anchor form of the panels' rollout; it stays
+# importable from here, where perfbench/test_perfbench.py looks it up
+from .evaluation import forecast_rollout, forecast_rollout_batch  # noqa: F401
 from .frames import (
     CATEGORICAL,
     TARGET,
@@ -25,7 +27,7 @@ from .frames import (
     format_timestamp,
 )
 from .lags import LagSet, lag_set_for_history
-from .model import Model, forced_keep
+from .model import EVAL_DIRECTIVE, Model, forced_keep
 
 _DEFAULT_MEMBERSHIP = (
     ("long_term", ("month", "season")),
@@ -93,6 +95,35 @@ class PanelSeries:
     values: np.ndarray  # unscaled forecasts
 
 
+def _panel(
+    model: Model,
+    scaled: TimeSeriesFrame,
+    scaler,
+    group: ViewGroup | None,
+    rng: tuple[int, int],
+    horizon: int,
+    lag_set: LagSet,
+) -> PanelSeries:
+    start, end = rng
+    anchors = np.arange(start, end - horizon, horizon)
+    if not len(anchors):
+        raise ConfigError(
+            f"range [{start}, {end}) shorter than one horizon of {horizon} hours"
+        )
+    if group is None:
+        directive, name = EVAL_DIRECTIVE, "combined"
+    else:
+        directive, name = forced_keep(model.specs, group.members), group.name
+    values = forecast_rollout_batch(
+        model, scaled, anchors, horizon, lag_set, scaler, directive
+    )
+    return PanelSeries(
+        name=name,
+        timestamps=scaled.timestamps[start + 1 : start + 1 + values.size],
+        values=values.ravel(),
+    )
+
+
 def isolate_view(
     model: Model,
     frame: TimeSeriesFrame,
@@ -105,38 +136,13 @@ def isolate_view(
     """Forecasts produced from the target plus one group of views.
 
     ``group=None`` runs unmasked (the combined panel).  Anchors tile the
-    range back to back so the output is a contiguous hourly series.
+    range back to back so the output is a contiguous hourly series; it
+    equals ``forecast_rollout`` from each tile's anchor, concatenated.
     """
     if lag_set is None:
         lag_set = lag_set_for_history(frame.n_rows)
     scaled = apply_scaler(frame, scaler)
-    if group is None:
-        directive = None
-        name = "combined"
-    else:
-        directive = forced_keep(model.specs, group.members)
-        name = group.name
-
-    start, end = rng
-    timestamps = []
-    values = []
-    t0 = start
-    while t0 + horizon <= end - 1:
-        pred = forecast_rollout(
-            model, scaled, t0, horizon, lag_set, scaler, directive
-        )
-        timestamps.append(frame.timestamps[t0 + 1 : t0 + 1 + horizon])
-        values.append(pred)
-        t0 += horizon
-    if not values:
-        raise ConfigError(
-            f"range [{start}, {end}) shorter than one horizon of {horizon} hours"
-        )
-    return PanelSeries(
-        name=name,
-        timestamps=np.concatenate(timestamps),
-        values=np.concatenate(values),
-    )
+    return _panel(model, scaled, scaler, group, rng, horizon, lag_set)
 
 
 def isolation_panels(
@@ -148,14 +154,15 @@ def isolation_panels(
     horizon: int,
     lag_set: LagSet | None = None,
 ) -> list[PanelSeries]:
-    """The combined series plus one panel per group."""
+    """The combined series plus one panel per group, from one scaled frame."""
     validate_groups(groups, model.specs)
-    panels = [isolate_view(model, frame, scaler, None, rng, horizon, lag_set)]
-    for group in groups:
-        panels.append(
-            isolate_view(model, frame, scaler, group, rng, horizon, lag_set)
-        )
-    return panels
+    if lag_set is None:
+        lag_set = lag_set_for_history(frame.n_rows)
+    scaled = apply_scaler(frame, scaler)
+    return [
+        _panel(model, scaled, scaler, group, rng, horizon, lag_set)
+        for group in (None, *groups)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from loadcast.evaluation import (
     evaluate,
     evaluation_anchors,
     forecast_rollout,
+    forecast_rollout_batch,
     seasonal_naive,
     write_report_csv,
     write_report_json,
@@ -22,7 +23,8 @@ from loadcast.frames import (
     fit_scaler,
 )
 from loadcast.lags import LagSet
-from loadcast.model import Model, ModelConfig
+from loadcast.model import Model, ModelConfig, forced_keep
+from loadcast.training import mape
 
 from conftest import hourly_timestamps, small_frame, target_only_frame
 
@@ -41,6 +43,14 @@ class StubModel:
         self.calls.append(x)
         out = np.asarray(self.fn(x, len(self.calls) - 1), dtype=float)
         return Mat(out.reshape(1, -1))
+
+    def forward_batch(self, inputs, directive=None):
+        # batched examples carry no anchor; ``fn`` reads ``x.values`` only
+        rows = [
+            self.forward(SimpleNamespace(values=x), directive).values
+            for x in inputs
+        ]
+        return Mat(np.vstack(rows))
 
     def n_params(self):
         return 0
@@ -222,12 +232,205 @@ class TestEvaluationAnchors:
                 assert t0 - lag != 130  # lag reads skip it too
 
 
+def feasible_by_loop(frame, t0, horizon, tau, lags):
+    """Reference feasibility check, one anchor and one chunk at a time."""
+    n = frame.n_rows
+    if t0 + horizon >= n or t0 - int(lags.max()) < 0:
+        return False
+    tcol = frame.target_index
+    future = np.arange(t0 + 1, t0 + 1 + horizon)
+    if frame.missing[future, tcol].any():
+        return False
+    exo = np.ones(frame.n_features, dtype=bool)
+    exo[tcol] = False
+    if frame.missing[future][:, exo].any():
+        return False
+    for c in range(-(-horizon // tau)):
+        rows = t0 + c * tau - lags
+        if frame.missing[rows[rows <= t0]].any():
+            return False
+    return True
+
+
+def scattered_gaps(n=600, seed=11, rate=0.01):
+    """small_frame with cells missing at random in every column."""
+    clean = small_frame(n=n, seed=seed)
+    mask = np.random.default_rng(seed).random((n, 3)) < rate
+    return TimeSeriesFrame(clean.timestamps, clean.specs, np.array(clean.values), mask)
+
+
+class TestFeasibilityScan:
+    @pytest.mark.parametrize(
+        "rng, horizon, tau, stride, lags",
+        [
+            ((0, 600), 6, 6, 1, (24, 12, 1)),
+            ((30, 580), 42, 6, 1, (24, 12, 1)),
+            ((100, 600), 15, 6, 3, (24, 12, 1)),
+            ((-5, 400), 24, 24, 1, (168, 24, 2, 1)),
+            ((200, 599), 12, 4, 2, (48, 7, 3)),
+        ],
+    )
+    def test_matches_brute_force_scan(self, rng, horizon, tau, stride, lags):
+        frame = scattered_gaps()
+        assert frame.missing.any(axis=0).all()  # gaps in every column
+        lag_set = LagSet(lags)
+        expected = [
+            t0
+            for t0 in range(rng[0], rng[1], stride)
+            if t0 + horizon <= rng[1] - 1
+            and feasible_by_loop(frame, t0, horizon, tau, np.array(lags))
+        ]
+        got = evaluation_anchors(frame, rng, horizon, tau, lag_set, stride)
+        assert len(expected) > 0
+        assert got.tolist() == expected
+
+
+def build_model(method, frame, scaler, tau=6):
+    config = ModelConfig(
+        method=method, d=None if method == "svd" else 4,
+        heads=1 if method == "svd" else 2,
+        encoder_layers=1, decoder_layers=2, horizon=tau,
+    )
+    return Model.build(config, frame.specs, RngStream(0).split(0), scaler)
+
+
+class TestBatchedRollout:
+    ANCHORS = np.array([150, 163, 171, 200, 230])
+
+    def built(self, method="additive"):
+        frame = small_frame(n=300, seed=4)
+        scaler = fit_scaler(frame, (0, 240))
+        return build_model(method, frame, scaler), apply_scaler(frame, scaler), scaler
+
+    @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
+    @pytest.mark.parametrize("horizon", [6, 12, 42, 15])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_equals_per_anchor_rollouts(self, method, horizon, masked):
+        model, scaled, scaler = self.built(method)
+        kw = {"directive": forced_keep(model.specs, ("hour",))} if masked else {}
+        batch = forecast_rollout_batch(
+            model, scaled, self.ANCHORS, horizon, LAGS, scaler, **kw
+        )
+        single = np.array(
+            [
+                forecast_rollout(model, scaled, int(t0), horizon, LAGS, scaler, **kw)
+                for t0 in self.ANCHORS
+            ]
+        )
+        assert batch.shape == (len(self.ANCHORS), horizon)
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=0)
+
+    def test_empty_batch(self):
+        model, scaled, scaler = self.built()
+        out = forecast_rollout_batch(model, scaled, [], 12, LAGS, scaler)
+        assert out.shape == (0, 12)
+
+    def gapped(self, row, col):
+        clean = small_frame(n=300, seed=4)
+        mask = np.zeros((300, 3), dtype=bool)
+        mask[row, col] = True
+        scaler = fit_scaler(clean, (0, 240))
+        frame = TimeSeriesFrame(
+            clean.timestamps, clean.specs, np.array(clean.values), mask
+        )
+        model = build_model("additive", clean, scaler)
+        return model, apply_scaler(frame, scaler), scaler
+
+    # LAGS with tau 6 and horizon 18: anchor t reads rows t-24, t-12, t-1
+    # in chunk 0, t-18, t-6 in chunk 1 and t-12, t in chunk 2 from history
+    @pytest.mark.parametrize(
+        "row, col, bad_anchor, message",
+        [
+            (151, 0, 163, "lag 12 of chunk 0"),
+            (152, 2, 164, "lag 12 of chunk 0"),
+            (164, 0, 170, "lag 12 of chunk 1"),
+            (170, 0, 170, "lag 12 of chunk 2"),
+            (165, 1, 163, "inside the forecast window"),
+            (165, 2, 163, "inside the forecast window"),
+        ],
+    )
+    def test_gap_raises_like_single_anchor(self, row, col, bad_anchor, message):
+        model, scaled, scaler = self.gapped(row, col)
+        with pytest.raises(CoverageError, match=message) as single:
+            forecast_rollout(model, scaled, bad_anchor, 18, LAGS, scaler)
+        with pytest.raises(CoverageError) as batch:
+            forecast_rollout_batch(
+                model, scaled, [130, bad_anchor, 250], 18, LAGS, scaler
+            )
+        assert str(batch.value) == str(single.value)
+
+    def test_future_load_gap_is_not_read(self):
+        model, scaled, scaler = self.gapped(175, 0)
+        batch = forecast_rollout_batch(model, scaled, [130, 170], 18, LAGS, scaler)
+        single = forecast_rollout(model, scaled, 170, 18, LAGS, scaler)
+        np.testing.assert_allclose(batch[1], single, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("anchors", [[150, 296, 10], [150, 10, 296]])
+    def test_frame_bounds_report_first_failing_anchor(self, anchors):
+        model, scaled, scaler = self.built()
+        with pytest.raises(FrameTooShortError) as single:
+            forecast_rollout(model, scaled, anchors[1], 6, LAGS, scaler)
+        with pytest.raises(FrameTooShortError) as batch:
+            forecast_rollout_batch(model, scaled, anchors, 6, LAGS, scaler)
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize("method", ["additive", "svd"])
+    def test_evaluate_equals_reference_loop(self, method):
+        # the holiday ends on anchor 360, whose window it does not touch
+        frame = frame_with_holiday(600, holiday_rows=range(340, 361))
+        scaler = fit_scaler(frame, (0, 600))
+        model = build_model(method, frame, scaler)
+        report = evaluate(
+            model, frame, scaler, (300, 500), horizons=(6, 18),
+            lag_set=LAGS, stride=12, noise_seed=2,
+        )
+        from loadcast.frames import inject_noise
+
+        sources = {
+            "full": apply_scaler(frame, scaler),
+            "noisy": apply_scaler(inject_noise(frame, 0.5, 2), scaler),
+        }
+        load, holiday = frame.column("load"), frame.column("holiday")
+        for horizon in (6, 18):
+            anchors = evaluation_anchors(frame, (300, 500), horizon, 6, LAGS, 12)
+            scores = {}
+            for subset, scaled in sources.items():
+                scores[subset] = [
+                    mape(
+                        load[t0 + 1 : t0 + 1 + horizon],
+                        forecast_rollout(model, scaled, int(t0), horizon, LAGS, scaler),
+                    )
+                    for t0 in anchors
+                ]
+            scores["holidays"] = [
+                score
+                for t0, score in zip(anchors, scores["full"])
+                if (holiday[t0 + 1 : t0 + 1 + horizon] != 0).any()
+            ]
+            for subset, values in scores.items():
+                cell = report.cell(horizon, subset)
+                assert cell["anchors"] == len(values) > 0
+                assert cell["mape"] == pytest.approx(np.mean(values), rel=1e-12)
+
+
 class TestEvaluate:
     def oracle_model(self, frame, scaler, tau):
         clean = apply_scaler(frame, scaler)
         tcol = clean.target_index
         truth = clean.values[:, tcol].copy()
-        return StubModel(tau, lambda x, c: truth[x.anchor + 1 : x.anchor + 1 + tau])
+        lags = np.array(LAGS.lags)
+        candidates = np.arange(LAGS.max_lag, len(truth))
+        history = truth[candidates[:, None] - lags]
+
+        def fn(x, call):
+            # The oracle's forecasts are the truth, so the load column of the
+            # lag rows is the truth too, and on these random-load frames it
+            # matches exactly one anchor.
+            (hit,) = np.flatnonzero((history == x.values[:, tcol]).all(axis=1))
+            anchor = candidates[hit]
+            return truth[anchor + 1 : anchor + 1 + tau]
+
+        return StubModel(tau, fn)
 
     def test_perfect_oracle_scores_zero(self):
         frame = frame_with_holiday(600, holiday_rows=range(340, 364))

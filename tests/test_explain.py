@@ -6,6 +6,7 @@ import pytest
 
 from loadcast.autodiff import RngStream
 from loadcast.errors import ConfigError
+from loadcast.evaluation import forecast_rollout
 from loadcast.explain import (
     EmbeddingDump,
     ViewGroup,
@@ -20,7 +21,7 @@ from loadcast.explain import (
     write_panels,
     write_svd,
 )
-from loadcast.frames import fit_scaler, standard_schema
+from loadcast.frames import apply_scaler, fit_scaler, standard_schema
 from loadcast.lags import LagSet
 from loadcast.model import Model, ModelConfig, forced_keep
 
@@ -151,6 +152,36 @@ class TestIsolateView:
         model, frame, scaler = built()
         with pytest.raises(ConfigError, match="shorter than one horizon"):
             isolate_view(model, frame, scaler, None, (200, 205), 6, LAGS)
+
+
+class TestBatchedRollout:
+    @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
+    @pytest.mark.parametrize(
+        "group", [None, ViewGroup("temperature", ("temperature",))]
+    )
+    def test_panel_equals_tiled_rollouts(self, method, group):
+        model, frame, scaler = built(method)
+        panel = isolate_view(model, frame, scaler, group, (200, 250), 6, LAGS)
+        scaled = apply_scaler(frame, scaler)
+        kw = {}
+        if group is not None:
+            kw["directive"] = forced_keep(model.specs, group.members)
+        tiles = np.concatenate(
+            [
+                forecast_rollout(model, scaled, t0, 6, LAGS, scaler, **kw)
+                for t0 in range(200, 244, 6)
+            ]
+        )
+        np.testing.assert_allclose(panel.values, tiles, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(panel.timestamps, frame.timestamps[201:249])
+
+    def test_panels_equal_separate_isolations(self):
+        model, frame, scaler = built()
+        groups = default_groups(frame.specs)
+        panels = isolation_panels(model, frame, scaler, groups, (200, 226), 6, LAGS)
+        for panel, group in zip(panels, (None, *groups)):
+            alone = isolate_view(model, frame, scaler, group, (200, 226), 6, LAGS)
+            np.testing.assert_array_equal(panel.values, alone.values)
 
 
 class TestIsolationPanels:
