@@ -83,11 +83,6 @@ def as_mat(x) -> Mat:
     return x if isinstance(x, Mat) else Mat(x)
 
 
-def _check_2d(values: np.ndarray, who: str) -> None:
-    if values.ndim != 2:
-        raise ValueError(f"{who} requires 2-D input, got shape {values.shape}")
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum ``grad`` down to ``shape`` (reverses numpy broadcasting)."""
     if grad.shape == shape:
@@ -214,29 +209,13 @@ def absolute(x) -> Mat:
     return out
 
 
-def softmax_rows(x) -> Mat:
-    """Row-wise softmax, numerically stabilised by the row max."""
-    x = as_mat(x)
-    shifted = x.values - x.values.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
-    out = Mat(s, (x,))
-
-    def vjp(g):
-        # d softmax: s * (g - sum(g * s, rowwise))
-        x.grad += s * (g - (g * s).sum(axis=1, keepdims=True))
-
-    out._vjp = vjp
-    return out
-
-
 def block_attention(q, k, v, blocks: int = 1, heads: int = 1) -> tuple[Mat, np.ndarray]:
     """Multi-head scaled dot-product attention inside row blocks.
 
     ``q`` stacks ``blocks`` query blocks of equal height; ``k`` and ``v``
     stack as many key/value blocks.  Rows of query block ``b`` attend only
     to rows of key block ``b``.  Columns split evenly into ``heads`` heads;
-    head ``h`` computes ``softmax_rows(Q_h K_hᵀ / sqrt(d_h)) V_h`` and the
+    head ``h`` computes ``softmax(Q_h K_hᵀ / sqrt(d_h)) V_h``, row-wise, and the
     head outputs are laid side by side, as a concatenation of per-head
     attention would.
 
@@ -426,20 +405,6 @@ def sum_terms(mats: Sequence) -> Mat:
     return out
 
 
-def slice_rows(x, start: int, stop: int) -> Mat:
-    x = as_mat(x)
-    n = x.values.shape[0]
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"row slice [{start}:{stop}] outside {n} rows")
-    out = Mat(x.values[start:stop], (x,))
-
-    def vjp(g):
-        x.grad[start:stop] += g
-
-    out._vjp = vjp
-    return out
-
-
 def take_rows(x, rows) -> Mat:
     """Gather rows of ``x`` at integer positions ``rows``."""
     x = as_mat(x)
@@ -448,31 +413,6 @@ def take_rows(x, rows) -> Mat:
 
     def vjp(g):
         np.add.at(x.grad, idx, g)
-
-    out._vjp = vjp
-    return out
-
-
-def slice_cols(x, start: int, stop: int) -> Mat:
-    x = as_mat(x)
-    n = x.values.shape[1]
-    if not (0 <= start < stop <= n):
-        raise ValueError(f"column slice [{start}:{stop}] outside {n} columns")
-    out = Mat(x.values[:, start:stop], (x,))
-
-    def vjp(g):
-        x.grad[:, start:stop] += g
-
-    out._vjp = vjp
-    return out
-
-
-def transpose(x) -> Mat:
-    x = as_mat(x)
-    out = Mat(x.values.T.copy(), (x,))
-
-    def vjp(g):
-        x.grad += g.T
 
     out._vjp = vjp
     return out

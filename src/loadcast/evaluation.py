@@ -28,7 +28,7 @@ from .frames import (
     inject_noise,
 )
 from .lags import LagSet, ScaledInput
-from .model import EVAL_DIRECTIVE, DropoutDirective
+from .model import Mode
 from .training import mape
 
 SUBSETS = ("full", "holidays", "noisy")
@@ -200,7 +200,7 @@ def forecast_rollout(
     horizon: int,
     lag_set: LagSet,
     scaler: Scaler,
-    directive: DropoutDirective = EVAL_DIRECTIVE,
+    mode: Mode = None,
 ) -> np.ndarray:
     """Forecast hours t0+1 .. t0+horizon, in original load units.
 
@@ -211,7 +211,7 @@ def forecast_rollout(
 
     def predict(c: int, x: np.ndarray) -> np.ndarray:
         chunk = ScaledInput(t0 + c * tau, lag_set.lags, x[0])
-        return model.forward(chunk, directive).values
+        return model.forward(chunk, mode).values
 
     return _rollout(scaled, [t0], horizon, lag_set, scaler, tau, predict)[0]
 
@@ -223,7 +223,7 @@ def forecast_rollout_batch(
     horizon: int,
     lag_set: LagSet,
     scaler: Scaler,
-    directive: DropoutDirective = EVAL_DIRECTIVE,
+    mode: Mode = None,
 ) -> np.ndarray:
     """Row ``i`` is ``forecast_rollout`` from ``anchors[i]``; each chunk of
     every anchor runs as one ``model.forward_batch`` call."""
@@ -234,7 +234,7 @@ def forecast_rollout_batch(
         lag_set,
         scaler,
         model.config.horizon,
-        lambda c, x: model.forward_batch(x, directive).values,
+        lambda c, x: model.forward_batch(x, mode).values,
     )
 
 

@@ -27,7 +27,7 @@ from .frames import (
     format_timestamp,
 )
 from .lags import LagSet, lag_set_for_history
-from .model import EVAL_DIRECTIVE, Model, forced_keep
+from .model import Model, forced_keep
 
 _DEFAULT_MEMBERSHIP = (
     ("long_term", ("month", "season")),
@@ -111,11 +111,11 @@ def _panel(
             f"range [{start}, {end}) shorter than one horizon of {horizon} hours"
         )
     if group is None:
-        directive, name = EVAL_DIRECTIVE, "combined"
+        mode, name = None, "combined"
     else:
-        directive, name = forced_keep(model.specs, group.members), group.name
+        mode, name = forced_keep(model.specs, group.members), group.name
     values = forecast_rollout_batch(
-        model, scaled, anchors, horizon, lag_set, scaler, directive
+        model, scaled, anchors, horizon, lag_set, scaler, mode
     )
     return PanelSeries(
         name=name,

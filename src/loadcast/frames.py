@@ -176,15 +176,6 @@ class TimeSeriesFrame:
         return len(self.specs)
 
     @property
-    def start(self) -> np.datetime64:
-        return self.timestamps[0]
-
-    @property
-    def end(self) -> np.datetime64:
-        """One hour past the final row (half-open convention)."""
-        return self.timestamps[-1] + HOUR
-
-    @property
     def target_index(self) -> int:
         return next(i for i, s in enumerate(self.specs) if s.role == TARGET)
 
@@ -200,19 +191,6 @@ class TimeSeriesFrame:
 
     def has_feature(self, name: str) -> bool:
         return name in self._index
-
-    def index_of(self, t: np.datetime64) -> int:
-        """Row index of timestamp ``t``; raises if outside the frame."""
-        i = hours_between(t, self.start)
-        if not 0 <= i < self.n_rows:
-            raise IndexError(f"timestamp {format_timestamp(t)} outside frame")
-        return i
-
-    def range_indices(self, rng: tuple[np.datetime64, np.datetime64]) -> tuple[int, int]:
-        """Clip a half-open timestamp range to row indices."""
-        lo = max(0, hours_between(rng[0], self.start))
-        hi = min(self.n_rows, hours_between(rng[1], self.start))
-        return lo, hi
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_index(name)]

@@ -75,13 +75,6 @@ class ScaledInput:
             raise ValueError("one row per lag required")
 
 
-@dataclass(frozen=True)
-class TrainingExample:
-    input: ScaledInput
-    targets_scaled: np.ndarray  # (horizon,)
-    targets_raw: np.ndarray  # (horizon,) original load units
-
-
 def valid_timestamps(
     frame: TimeSeriesFrame, lag_set: LagSet, horizon: int
 ) -> np.ndarray:
@@ -117,19 +110,43 @@ def valid_timestamps(
     return anchors
 
 
+def _gather(
+    frame: TimeSeriesFrame, anchors: np.ndarray, lag_set: LagSet, horizon: int = 0
+) -> np.ndarray:
+    """Lag rows ``(anchors, L, F)``: rows t-lag for each anchor t, oldest
+    lag first.
+
+    Raises for the first anchor, in array order, that leaves no room for
+    ``horizon`` target rows (when ``horizon`` > 0), reaches before the
+    frame, or reads a row with missing data; an anchor's faults are
+    checked in that order.
+    """
+    n = frame.n_rows
+    rows = anchors[:, None] - np.array(lag_set.lags)
+    gaps = frame.missing[np.clip(rows, 0, n - 1)].any(axis=2)
+    faults = np.stack(
+        [(horizon > 0) & (anchors + horizon >= n), rows[:, 0] < 0, gaps.any(axis=1)]
+    )
+    failing = faults.any(axis=0)
+    if failing.any():
+        i = int(np.argmax(failing))
+        t = int(anchors[i])
+        fault = int(np.argmax(faults[:, i]))
+        if fault == 0:
+            raise FrameTooShortError(f"anchor {t} has no room for horizon {horizon}")
+        if fault == 1:
+            raise FrameTooShortError(
+                f"anchor {t} reaches before the frame at lag {lag_set.max_lag}"
+            )
+        lag = lag_set.lags[int(np.argmax(gaps[i]))]
+        raise FrameTooShortError(f"anchor {t} hits missing data at lag {lag}")
+    return frame.values[rows]
+
+
 def build_input(frame: TimeSeriesFrame, t: int, lag_set: LagSet) -> ScaledInput:
     """Stack rows t-lag for each lag, oldest first, refusing missing data."""
-    rows = t - np.array(lag_set.lags)
-    if rows[0] < 0:
-        raise FrameTooShortError(
-            f"anchor {t} reaches before the frame at lag {lag_set.max_lag}"
-        )
-    gaps = np.flatnonzero(frame.missing[rows].any(axis=1))
-    if gaps.size:
-        raise FrameTooShortError(
-            f"anchor {t} hits missing data at lag {lag_set.lags[gaps[0]]}"
-        )
-    return ScaledInput(anchor=t, lags=lag_set.lags, values=frame.values[rows])
+    values = _gather(frame, np.array([t]), lag_set)[0]
+    return ScaledInput(anchor=t, lags=lag_set.lags, values=values)
 
 
 def build_batch(
@@ -138,26 +155,17 @@ def build_batch(
     lag_set: LagSet,
     horizon: int,
     raw_load: np.ndarray,
-) -> list[TrainingExample]:
-    """Assemble training examples for a batch of anchor indices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inputs ``(B, L, F)``, scaled targets ``(B, horizon)`` and raw targets
+    ``(B, horizon)`` for a batch of anchor indices.
 
     ``raw_load`` is the unscaled load column of the same frame; targets are
-    kept in both scaled and original units.
+    the ``horizon`` rows after each anchor, in both scaled and original
+    units.
     """
     if len(raw_load) != scaled.n_rows:
         raise ValueError("raw_load length must match the frame")
-    target_col = scaled.values[:, scaled.target_index]
-    out = []
-    for t in anchors:
-        t = int(t)
-        steps = np.arange(t + 1, t + 1 + horizon)
-        if steps[-1] >= scaled.n_rows:
-            raise FrameTooShortError(f"anchor {t} has no room for horizon {horizon}")
-        out.append(
-            TrainingExample(
-                input=build_input(scaled, t, lag_set),
-                targets_scaled=target_col[steps].copy(),
-                targets_raw=raw_load[steps].copy(),
-            )
-        )
-    return out
+    anchors = np.asarray(anchors, dtype=np.int64)
+    inputs = _gather(scaled, anchors, lag_set, horizon)
+    steps = anchors[:, None] + np.arange(1, horizon + 1)
+    return inputs, scaled.values[steps, scaled.target_index], raw_load[steps]

@@ -82,37 +82,18 @@ class ModelConfig:
         return 4 * width if self.ffn_width is None else self.ffn_width
 
 
-@dataclass(frozen=True)
-class DropoutDirective:
-    """How view masking behaves for one forward pass.
-
-    ``train`` samples a Bernoulli keep per non-target view with drop
-    probability p_e; ``eval`` keeps everything; ``forced`` applies a fixed
-    keep mask.  The target view is kept in every mode.
-    """
-
-    mode: str = "eval"
-    keep: tuple[bool, ...] | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("train", "eval", "forced"):
-            raise ConfigError(f"unknown dropout mode {self.mode!r}")
-        if (self.mode == "forced") != (self.keep is not None):
-            raise ConfigError("forced mode requires a keep mask, others forbid one")
+# A forward pass's view masking and dropout: ``None`` evaluates, a keep mask
+# from :func:`forced_keep` keeps fixed views, the training RngStream drops.
+Mode = RngStream | tuple[bool, ...] | None
 
 
-EVAL_DIRECTIVE = DropoutDirective("eval")
-TRAIN_DIRECTIVE = DropoutDirective("train")
-
-
-def forced_keep(specs: tuple[FeatureSpec, ...], kept_names) -> DropoutDirective:
-    """Directive keeping only the named views (plus the target, always)."""
+def forced_keep(specs: tuple[FeatureSpec, ...], kept_names) -> tuple[bool, ...]:
+    """Keep mask, one entry per view: the named views and the target."""
     names = set(kept_names)
     unknown = names - {s.name for s in specs}
     if unknown:
         raise ConfigError(f"unknown view names in mask: {sorted(unknown)}")
-    keep = tuple(s.role == TARGET or s.name in names for s in specs)
-    return DropoutDirective("forced", keep)
+    return tuple(s.role == TARGET or s.name in names for s in specs)
 
 
 @dataclass(frozen=True)
@@ -155,7 +136,7 @@ def attention(
     blocks: int = 1,
     heads: int = 1,
 ) -> Mat:
-    """Scaled dot-product attention: softmax_rows(Q Kᵀ / sqrt(k)) V.
+    """Scaled dot-product attention: row-wise softmax(Q Kᵀ / sqrt(k)) V.
 
     With ``blocks`` > 1 the rows hold that many stacked examples and each
     attends only within its own block; ``heads`` splits the columns into
@@ -299,60 +280,45 @@ class Model:
     # one graph.
     # ------------------------------------------------------------------
 
-    def _keep_mask(
-        self, directive: DropoutDirective, rng: RngStream | None
-    ) -> np.ndarray:
-        f = self.n_views
-        if directive.mode == "eval":
-            keep = np.ones(f, dtype=bool)
-        elif directive.mode == "forced":
-            if len(directive.keep) != f:
-                raise ConfigError(
-                    f"forced mask has {len(directive.keep)} entries for {f} views"
-                )
-            keep = np.array(directive.keep, dtype=bool)
-        else:
-            p = self.config.embedding_dropout
-            if p == 0.0:
-                keep = np.ones(f, dtype=bool)
-            else:
-                if rng is None:
-                    raise ConfigError("train-mode dropout needs an rng stream")
-                keep = rng.draw().random(f) >= p
-        keep[self.target_view] = True
-        return keep
-
     def _draw_masks(
-        self,
-        blocks: int,
-        rows: int,
-        directive: DropoutDirective,
-        rng: RngStream | None,
-        train: bool,
+        self, mode: Mode, blocks: int, rows: int, sites: int
     ) -> tuple[np.ndarray, list[np.ndarray | None]]:
-        """View-keep masks ``(blocks, F)`` plus one dropout factor per
-        sublayer in network order, ``(blocks*rows, width)`` or ``None``.
+        """View-keep masks ``(blocks, F)`` plus a dropout factor for each of
+        ``sites`` sublayers in network order, ``(blocks*rows, width)`` or
+        ``None``.
 
-        Draws run example by example, view mask first and then every
-        sublayer, which is the order of ``blocks`` separate single-example
-        forwards; so a batch sees the same masks as those forwards would.
+        ``mode`` is ``None`` to evaluate: every view kept, no dropout.  A
+        keep mask from :func:`forced_keep` keeps its views in every block,
+        with no dropout.  An :class:`RngStream` trains: each block drops
+        every view with probability ``embedding_dropout`` and every sublayer
+        unit with ``transformer_dropout``.  The target view is kept in every
+        mode.  Training draws run example by example, view mask first and
+        then every sublayer, which is the order of ``blocks`` separate
+        single-example forwards; so a batch sees the same masks as those
+        forwards would.
         """
-        p = self.config.transformer_dropout
-        sites = 2 * (self.config.encoder_layers + self.config.decoder_layers)
-        dropping = train and p > 0.0
-        if dropping and rng is None:
-            raise ConfigError("train-mode dropout needs an rng stream")
-        keep = np.empty((blocks, self.n_views), dtype=bool)
-        factors = []
-        for b in range(blocks):
-            keep[b] = self._keep_mask(directive, rng)
-            if dropping:
-                factors.append(
-                    [ad.dropout_factor((rows, self.width), p, rng) for _ in range(sites)]
-                )
-        if not dropping:
-            return keep, [None] * sites
-        return keep, [np.concatenate(site) for site in zip(*factors)]
+        f = self.n_views
+        keep = np.ones((blocks, f), dtype=bool)
+        drops = [None] * sites
+        if isinstance(mode, RngStream):
+            p_e = self.config.embedding_dropout
+            p = self.config.transformer_dropout
+            factors = []
+            for b in range(blocks):
+                if p_e > 0.0:
+                    keep[b] = mode.draw().random(f) >= p_e
+                if p > 0.0:
+                    factors.append(
+                        [ad.dropout_factor((rows, self.width), p, mode) for _ in range(sites)]
+                    )
+            if factors:
+                drops = [np.concatenate(site) for site in zip(*factors)]
+        elif mode is not None:
+            if len(mode) != f:
+                raise ConfigError(f"forced mask has {len(mode)} entries for {f} views")
+            keep[:] = mode
+        keep[:, self.target_view] = True
+        return keep, drops
 
     def _lag_rows(self, input: ScaledInput | np.ndarray) -> np.ndarray:
         x = input.values if isinstance(input, ScaledInput) else np.asarray(input)
@@ -362,14 +328,11 @@ class Model:
             )
         return x
 
-    def embed_views(
-        self,
-        input: ScaledInput | np.ndarray,
-        directive: DropoutDirective = EVAL_DIRECTIVE,
-        rng: RngStream | None = None,
-    ) -> Mat:
-        """Per-view embeddings of one example, gated, masked, and aggregated."""
-        return self._embed(self._lag_rows(input), self._keep_mask(directive, rng)[None])
+    def embed_views(self, input: ScaledInput | np.ndarray, mode: Mode = None) -> Mat:
+        """Per-view embeddings of one example, gated, masked, and aggregated;
+        ``mode`` as in :meth:`forward_batch`, drawing the view mask only."""
+        x = self._lag_rows(input)
+        return self._embed(x, self._draw_masks(mode, 1, len(x), 0)[0])
 
     def _embed(self, x: np.ndarray, keep: np.ndarray) -> Mat:
         """Embed stacked lag rows ``x``; ``keep`` is the ``(blocks, F)`` mask."""
@@ -500,27 +463,29 @@ class Model:
     def forward(
         self,
         input: ScaledInput | np.ndarray,
-        directive: DropoutDirective = EVAL_DIRECTIVE,
-        rng: RngStream | None = None,
-        train: bool = False,
+        mode: Mode = None,
         trace: ModelTrace | None = None,
     ) -> Mat:
         """Full pipeline for one ``(L, F)`` example: embed, encode,
         cross-decode, read the ``(1, horizon)`` forecast row."""
         x = self._lag_rows(input)
-        return self.forward_batch(x[None], directive, rng, train, trace)
+        return self.forward_batch(x[None], mode, trace)
 
     def forward_batch(
         self,
         inputs: np.ndarray,
-        directive: DropoutDirective = EVAL_DIRECTIVE,
-        rng: RngStream | None = None,
-        train: bool = False,
+        mode: Mode = None,
         trace: ModelTrace | None = None,
     ) -> Mat:
         """``B`` examples ``(B, L, F)`` through one graph; returns
-        ``(B, horizon)`` whose row ``b`` is what ``forward(inputs[b])``
-        gives when the B forwards draw from ``rng`` in turn."""
+        ``(B, horizon)`` whose row ``b`` is what ``forward(inputs[b], mode)``
+        gives when the B forwards run in turn.
+
+        ``mode`` is one of three forms: ``None`` evaluates, keeping every
+        view with no dropout; a keep mask from :func:`forced_keep` keeps
+        only its views, with no dropout; the training :class:`RngStream`
+        draws view and sublayer dropout from that stream.
+        """
         x = np.asarray(inputs)
         if x.ndim != 3 or x.shape[2] != self.n_views:
             raise ConfigError(
@@ -528,7 +493,8 @@ class Model:
             )
         blocks, rows, _ = x.shape
         flat = x.reshape(blocks * rows, self.n_views)
-        keep, drops = self._draw_masks(blocks, rows, directive, rng, train)
+        sites = 2 * (self.config.encoder_layers + self.config.decoder_layers)
+        keep, drops = self._draw_masks(mode, blocks, rows, sites)
         drops = iter(drops)
         z = self._embed(flat, keep)
         h = self.encode(z, blocks, drops, trace)

@@ -20,14 +20,8 @@ from . import autodiff as ad
 from .autodiff import Mat, RngStream
 from .errors import DivergenceError, FingerprintError, FrameTooShortError
 from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler
-from .lags import (
-    LagSet,
-    TrainingExample,
-    build_batch,
-    lag_set_for_history,
-    valid_timestamps,
-)
-from .model import EVAL_DIRECTIVE, TRAIN_DIRECTIVE, Model, ModelConfig
+from .lags import LagSet, build_batch, lag_set_for_history, valid_timestamps
+from .model import Mode, Model, ModelConfig
 
 MAPE_GUARD = 1e-6
 ADAM_BETA1 = 0.9
@@ -357,23 +351,20 @@ class TrainResult:
 
 def _batch_loss(
     model: Model,
-    examples: list[TrainingExample],
+    batch: tuple[np.ndarray, np.ndarray, np.ndarray],
     loss_kind: str,
     load_mean: float,
     load_std: float,
-    train: bool,
-    rng: RngStream | None,
+    mode: Mode,
 ) -> Mat:
-    """Loss over ``examples`` from one batched forward (a single graph)."""
-    inputs = np.stack([ex.input.values for ex in examples])
-    directive = TRAIN_DIRECTIVE if train else EVAL_DIRECTIVE
-    pred = model.forward_batch(inputs, directive, rng, train)
+    """Loss over a :func:`build_batch` batch from one batched forward (a
+    single graph); ``mode`` as in :meth:`Model.forward_batch`."""
+    inputs, targets_scaled, targets_raw = batch
+    pred = model.forward_batch(inputs, mode)
     if loss_kind == "mape":
         raw = ad.add(ad.scale(pred, load_std), Mat([[load_mean]]))
-        targets = np.stack([ex.targets_raw for ex in examples])
-        return mape_loss(raw, targets)
-    targets = np.stack([ex.targets_scaled for ex in examples])
-    return mse_loss(pred, targets)
+        return mape_loss(raw, targets_raw)
+    return mse_loss(pred, targets_scaled)
 
 
 def fit(
@@ -434,10 +425,10 @@ def fit(
         weighted = 0.0
         count = 0
         for b, batch in enumerate(batches):
-            examples = build_batch(scaled, batch, lag_set, horizon, raw_load)
+            arrays = build_batch(scaled, batch, lag_set, horizon, raw_load)
             ad.zero_grad([p for _, p in params])
             loss = _batch_loss(
-                model, examples, tc.loss, load_mean, load_std, True, dropout_rng
+                model, arrays, tc.loss, load_mean, load_std, dropout_rng
             )
             value = loss.item()
             if not math.isfinite(value):
@@ -446,8 +437,8 @@ def fit(
                 )
             ad.backward(loss)
             adamw_step(params, adam, lr, tc.weight_decay)
-            weighted += value * len(examples)
-            count += len(examples)
+            weighted += value * len(batch)
+            count += len(batch)
         train_loss = weighted / count
 
         val_loss = None
@@ -456,12 +447,10 @@ def fit(
             seen = 0
             for i in range(0, len(val_anchors), tc.batch_size):
                 batch = val_anchors[i : i + tc.batch_size]
-                examples = build_batch(scaled, batch, lag_set, horizon, raw_load)
-                loss = _batch_loss(
-                    model, examples, tc.loss, load_mean, load_std, False, None
-                )
-                total += loss.item() * len(examples)
-                seen += len(examples)
+                arrays = build_batch(scaled, batch, lag_set, horizon, raw_load)
+                loss = _batch_loss(model, arrays, tc.loss, load_mean, load_std, None)
+                total += loss.item() * len(batch)
+                seen += len(batch)
             val_loss = total / seen
             if best_val is None or val_loss < best_val:
                 best_val = val_loss
@@ -648,7 +637,8 @@ def rolling_cv(
     for k, (train_range, test_range) in enumerate(geometry):
         scaler = fit_scaler(frame, train_range)
         scaled = apply_scaler(frame, scaler)
-        anchors = train_anchors(frame, lag_set, horizon, *train_range)
+        # targets inside the fold's train window; lags may read the warm-up
+        anchors = eval_anchors(frame, lag_set, horizon, *train_range)
         fingerprint = config_fingerprint(model_config, tc, frame.specs, lag_set)
         model = Model.build(
             model_config, frame.specs, RngStream(tc.seed, (2, k)), scaler

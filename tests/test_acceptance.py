@@ -114,7 +114,7 @@ class TestAcceptance:
 
         def loss():
             return _batch_loss(
-                model, examples, "mape", stats.mean, stats.std, False, None
+                model, examples, "mape", stats.mean, stats.std, None
             )
 
         worst, name = ad.finite_diff_check(loss, model.parameters(), eps=1e-4)
@@ -213,7 +213,7 @@ class TestAcceptance:
         model, frame, scaler = six_view_model()
         scaled = apply_scaler(frame, scaler)
         lag_set = LagSet((24, 12, 3, 1))
-        x = build_batch(scaled, np.array([60]), lag_set, 4, frame.column("load"))[0].input
+        x = build_batch(scaled, np.array([60]), lag_set, 4, frame.column("load"))[0][0]
 
         ablated = model.forward(x, forced_keep(model.specs, ())).values
         zeroed, _, _ = six_view_model()
@@ -239,9 +239,7 @@ class TestAcceptance:
         nodrop, nd_frame, _ = six_view_model(
             transformer_dropout=0.0, embedding_dropout=0.0
         )
-        from loadcast.model import TRAIN_DIRECTIVE
-
-        train_out = nodrop.forward(x, TRAIN_DIRECTIVE, RngStream(5), train=True)
+        train_out = nodrop.forward(x, RngStream(5))
         eval_out = nodrop.forward(x)
         zero_p_ok = np.array_equal(train_out.values, eval_out.values)
 

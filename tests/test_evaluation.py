@@ -307,7 +307,7 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("masked", [False, True])
     def test_equals_per_anchor_rollouts(self, method, horizon, masked):
         model, scaled, scaler = self.built(method)
-        kw = {"directive": forced_keep(model.specs, ("hour",))} if masked else {}
+        kw = {"mode": forced_keep(model.specs, ("hour",))} if masked else {}
         batch = forecast_rollout_batch(
             model, scaled, self.ANCHORS, horizon, LAGS, scaler, **kw
         )

@@ -165,7 +165,7 @@ class TestBatchedRollout:
         scaled = apply_scaler(frame, scaler)
         kw = {}
         if group is not None:
-            kw["directive"] = forced_keep(model.specs, group.members)
+            kw["mode"] = forced_keep(model.specs, group.members)
         tiles = np.concatenate(
             [
                 forecast_rollout(model, scaled, t0, 6, LAGS, scaler, **kw)

@@ -1,4 +1,6 @@
 """Lag-set inputs: valid anchors, stacked matrices, aligned targets."""
+import re
+
 import numpy as np
 import pytest
 
@@ -175,32 +177,58 @@ class TestBuildBatch:
     def test_targets_are_next_hours(self):
         frame = small_frame(n=120)
         anchors = np.arange(80, 90)
-        batch = build_batch(frame, anchors, LagSet((72, 1)), 1, frame.column("load"))
-        for ex, t in zip(batch, anchors):
-            assert ex.targets_scaled[0] == frame.values[t + 1, 0]
-            assert ex.targets_raw[0] == frame.values[t + 1, 0]
+        _, targets_scaled, targets_raw = build_batch(
+            frame, anchors, LagSet((72, 1)), 1, frame.column("load")
+        )
+        for i, t in enumerate(anchors):
+            assert targets_scaled[i, 0] == frame.values[t + 1, 0]
+            assert targets_raw[i, 0] == frame.values[t + 1, 0]
 
     def test_order_preserved(self):
         frame = small_frame(n=120)
         anchors = np.array([85, 80, 90])
-        batch = build_batch(frame, anchors, LagSet((72, 1)), 2, frame.column("load"))
-        assert [ex.input.anchor for ex in batch] == [85, 80, 90]
+        inputs, _, _ = build_batch(frame, anchors, LagSet((72, 1)), 2, frame.column("load"))
+        for x, t in zip(inputs, anchors):
+            np.testing.assert_array_equal(x, build_input(frame, t, LagSet((72, 1))).values)
 
     def test_empty_anchor_list(self):
         frame = small_frame(n=120)
-        batch = build_batch(frame, np.array([], dtype=int), LagSet((72, 1)), 2, frame.column("load"))
-        assert batch == []
+        inputs, targets_scaled, targets_raw = build_batch(
+            frame, np.array([], dtype=int), LagSet((72, 1)), 2, frame.column("load")
+        )
+        assert inputs.shape == (0, 2, frame.n_features)
+        assert targets_scaled.shape == targets_raw.shape == (0, 2)
 
     def test_shapes(self):
         frame = small_frame(n=400)
         anchors = np.arange(200, 230)
-        batch = build_batch(frame, anchors, LagSet((168, 24, 12, 6, 5, 4, 3, 2, 1)), 24, frame.column("load"))
-        assert len(batch) == 30
-        for ex in batch:
-            assert ex.input.values.shape == (9, frame.n_features)
-            assert ex.targets_scaled.shape == (24,)
+        inputs, targets_scaled, targets_raw = build_batch(
+            frame, anchors, LagSet((168, 24, 12, 6, 5, 4, 3, 2, 1)), 24, frame.column("load")
+        )
+        assert len(inputs) == 30
+        assert inputs.shape == (30, 9, frame.n_features)
+        assert targets_scaled.shape == targets_raw.shape == (30, 24)
 
     def test_invalid_anchor_reported(self):
         frame = small_frame(n=120)
         with pytest.raises(FrameTooShortError):
             build_batch(frame, np.array([10]), LagSet((72, 1)), 2, frame.column("load"))
+
+    @pytest.mark.parametrize(
+        "anchors, horizon, message",
+        [
+            ([60, 118, 10, 74], 2, "anchor 118 has no room for horizon 2"),
+            ([60, 10, 118, 74], 2, "anchor 10 reaches before the frame at lag 24"),
+            ([60, 74, 51, 10], 2, "anchor 74 hits missing data at lag 24"),
+            ([60, 51, 74, 118], 2, "anchor 51 hits missing data at lag 1"),
+            ([117, 10], 3, "anchor 117 has no room for horizon 3"),
+        ],
+    )
+    def test_first_failing_anchor_in_array_order(self, anchors, horizon, message):
+        # rows 50 and 93 are missing; anchor 117 reads row 93 at lag 24 and,
+        # at horizon 3, also runs past the frame: the room check comes first
+        missing = np.zeros((120, 1), bool)
+        missing[[50, 93]] = True
+        frame = target_only_frame(np.arange(120), missing=missing)
+        with pytest.raises(FrameTooShortError, match=f"^{re.escape(message)}$"):
+            build_batch(frame, np.array(anchors), LagSet((24, 1)), horizon, frame.column("load"))

@@ -8,9 +8,6 @@ from loadcast.errors import ConfigError
 from loadcast.frames import apply_scaler, fit_scaler
 from loadcast.lags import LagSet, build_input
 from loadcast.model import (
-    EVAL_DIRECTIVE,
-    TRAIN_DIRECTIVE,
-    DropoutDirective,
     Model,
     ModelConfig,
     ModelTrace,
@@ -158,8 +155,7 @@ class TestAttention:
 class TestEmbedViews:
     def test_forced_target_only_zeroes_other_columns(self):
         model, x, _, _ = built_model("concatenative")
-        directive = forced_keep(model.specs, [])
-        z = model.embed_views(x, directive)
+        z = model.embed_views(x, forced_keep(model.specs, []))
         d = model.config.embed_dim
         target_cols = slice(model.target_view * d, (model.target_view + 1) * d)
         other = np.delete(z.values, np.arange(*target_cols.indices(z.shape[1])), axis=1)
@@ -201,28 +197,23 @@ class TestEmbedViews:
         cols = slice(d, 2 * d)  # temperature is the second view
         np.testing.assert_allclose(doubled[:, cols], 2.0 * base[:, cols], rtol=1e-12)
 
-    def test_train_mode_needs_rng(self):
-        model, x, _, _ = built_model("additive")
-        with pytest.raises(ConfigError):
-            model.embed_views(x, TRAIN_DIRECTIVE, None)
-
     def test_zero_rate_train_matches_eval_bitwise(self):
         model, x, _, _ = built_model("additive", embedding_dropout=0.0)
-        a = model.embed_views(x, TRAIN_DIRECTIVE, RngStream(0))
-        b = model.embed_views(x, EVAL_DIRECTIVE)
+        a = model.embed_views(x, RngStream(0))
+        b = model.embed_views(x, None)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_forced_mask_length_checked(self):
         model, x, _, _ = built_model("additive")
         with pytest.raises(ConfigError):
-            model.embed_views(x, DropoutDirective("forced", (True, False)))
+            model.embed_views(x, (True, False))
 
 
 class TestMaskedGradients:
     def test_masked_view_gets_zero_parameter_gradient(self):
         model, x, _, _ = built_model("concatenative")
-        directive = forced_keep(model.specs, ["hour"])  # temperature masked
-        loss = ad.mean(model.forward(x, directive))
+        mode = forced_keep(model.specs, ["hour"])  # temperature masked
+        loss = ad.mean(model.forward(x, mode))
         ad.backward(loss)
         np.testing.assert_array_equal(
             model.params["embed/temperature/w"].grad, 0.0
@@ -234,8 +225,7 @@ class TestMaskedGradients:
 
     def test_full_ablation_equals_hand_zeroed_model(self):
         model, x, _, scaler = built_model("concatenative")
-        directive = forced_keep(model.specs, [])
-        masked = model.forward(x, directive).values
+        masked = model.forward(x, forced_keep(model.specs, [])).values
 
         zeroed = Model.build(
             model.config, model.specs, RngStream(3).split(0), scaler
@@ -278,8 +268,8 @@ class TestEncoderDecoder:
 
     def test_train_dropout_changes_output(self):
         model, x, _, _ = built_model("additive")
-        a = model.forward(x, TRAIN_DIRECTIVE, RngStream(1), train=True).values
-        b = model.forward(x, EVAL_DIRECTIVE).values
+        a = model.forward(x, RngStream(1)).values
+        b = model.forward(x, None).values
         assert not np.array_equal(a, b)
 
     def test_trace_collects_per_head_per_layer(self):
@@ -287,6 +277,32 @@ class TestEncoderDecoder:
         trace = ModelTrace()
         model.forward(x, trace=trace)
         assert len(trace.attention) == 2 * (1 + 2)
+
+
+class TestDropoutDraws:
+    """A training forward draws each example's view mask, then one factor
+    per sublayer; each draw advances the stream's counter by one."""
+
+    @pytest.mark.parametrize("encoder_layers, decoder_layers", [(1, 2), (0, 1), (2, 1)])
+    def test_both_dropouts(self, encoder_layers, decoder_layers):
+        model, x, _, _ = built_model(
+            "additive", encoder_layers=encoder_layers, decoder_layers=decoder_layers
+        )
+        rng = RngStream(7)
+        model.forward_batch(np.stack([x.values] * 5), rng)
+        assert rng.counter == 5 * (1 + 2 * (encoder_layers + decoder_layers))
+
+    def test_embedding_dropout_only(self):
+        model, x, _, _ = built_model("additive", transformer_dropout=0.0)
+        rng = RngStream(7)
+        model.forward_batch(np.stack([x.values] * 5), rng)
+        assert rng.counter == 5
+
+    def test_embed_views_draws_view_mask_only(self):
+        model, x, _, _ = built_model("additive")
+        rng = RngStream(7)
+        model.embed_views(x, rng)
+        assert rng.counter == 1
 
 
 class TestQuantizer:

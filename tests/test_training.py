@@ -7,7 +7,8 @@ from loadcast.autodiff import Mat, RngStream
 from loadcast.errors import DivergenceError, FingerprintError, FrameTooShortError
 from loadcast.frames import apply_scaler, fit_scaler
 from loadcast.lags import LagSet, build_batch, valid_timestamps
-from loadcast.model import EVAL_DIRECTIVE, TRAIN_DIRECTIVE, Model, ModelConfig, forced_keep
+from loadcast.model import Model, ModelConfig, forced_keep
+from loadcast.synth import synth_generate
 from loadcast.training import (
     AdamState,
     CvSpec,
@@ -233,18 +234,18 @@ class TestBatchedGraph:
         )
         model = Model.build(config, frame.specs, RngStream(2).split(0), scaler)
         anchors = np.array([40, 41, 77, 120, 150, 151, 190])
-        examples = build_batch(scaled, anchors, SMALL_LAGS, 3, frame.column("load"))
+        batch = build_batch(scaled, anchors, SMALL_LAGS, 3, frame.column("load"))
         stats = scaler.stats["load"]
-        return model, examples, stats.mean, stats.std
+        return model, batch, stats.mean, stats.std
 
     @staticmethod
-    def mape_of(pred, examples, mean, std):
+    def mape_of(pred, batch, mean, std):
         raw = ad.add(ad.scale(pred, std), Mat([[mean]]))
-        return mape_loss(raw, np.stack([ex.targets_raw for ex in examples]))
+        return mape_loss(raw, batch[2])
 
-    def per_example(self, model, examples, mean, std, directive, rng, train):
-        preds = [model.forward(ex.input, directive, rng, train=train) for ex in examples]
-        return self.mape_of(ad.concat_rows(preds), examples, mean, std)
+    def per_example(self, model, batch, mean, std, mode):
+        preds = [model.forward(x, mode) for x in batch[0]]
+        return self.mape_of(ad.concat_rows(preds), batch, mean, std)
 
     @staticmethod
     def loss_and_grads(model, build):
@@ -264,46 +265,43 @@ class TestBatchedGraph:
 
     @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
     def test_eval_mode(self, method):
-        model, examples, mean, std = self.make(method)
+        model, batch, mean, std = self.make(method)
         self.assert_same(
             model,
-            lambda: _batch_loss(model, examples, "mape", mean, std, False, None),
-            lambda: self.per_example(model, examples, mean, std, EVAL_DIRECTIVE, None, False),
+            lambda: _batch_loss(model, batch, "mape", mean, std, None),
+            lambda: self.per_example(model, batch, mean, std, None),
         )
 
     def test_eval_mode_mean_head(self):
-        model, examples, mean, std = self.make("additive", head_reduce="mean")
+        model, batch, mean, std = self.make("additive", head_reduce="mean")
         self.assert_same(
             model,
-            lambda: _batch_loss(model, examples, "mape", mean, std, False, None),
-            lambda: self.per_example(model, examples, mean, std, EVAL_DIRECTIVE, None, False),
+            lambda: _batch_loss(model, batch, "mape", mean, std, None),
+            lambda: self.per_example(model, batch, mean, std, None),
         )
 
     @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
     def test_forced_mode(self, method):
-        model, examples, mean, std = self.make(method)
-        directive = forced_keep(model.specs, ["hour"])
-        inputs = np.stack([ex.input.values for ex in examples])
+        model, batch, mean, std = self.make(method)
+        mode = forced_keep(model.specs, ["hour"])
         self.assert_same(
             model,
-            lambda: self.mape_of(model.forward_batch(inputs, directive), examples, mean, std),
-            lambda: self.per_example(model, examples, mean, std, directive, None, False),
+            lambda: self.mape_of(model.forward_batch(batch[0], mode), batch, mean, std),
+            lambda: self.per_example(model, batch, mean, std, mode),
         )
         assert not model.params["gate/temperature"].grad.any()
 
     @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
     def test_train_mode(self, method):
-        model, examples, mean, std = self.make(method)
+        model, batch, mean, std = self.make(method)
         batched_rng, reference_rng = RngStream(5, (1,), 3), RngStream(5, (1,), 3)
         loss = self.assert_same(
             model,
-            lambda: _batch_loss(model, examples, "mape", mean, std, True, batched_rng),
-            lambda: self.per_example(
-                model, examples, mean, std, TRAIN_DIRECTIVE, reference_rng, True
-            ),
+            lambda: _batch_loss(model, batch, "mape", mean, std, batched_rng),
+            lambda: self.per_example(model, batch, mean, std, reference_rng),
         )
         assert batched_rng.state() == reference_rng.state()
-        eval_loss = _batch_loss(model, examples, "mape", mean, std, False, None).item()
+        eval_loss = _batch_loss(model, batch, "mape", mean, std, None).item()
         assert loss != eval_loss  # dropout was live
 
 
@@ -457,3 +455,15 @@ class TestRollingCv:
         assert agg["mean"] == pytest.approx(np.mean(fold_values))
         # fresh model per fold: reports differ across folds
         assert fold_values[0] != fold_values[1]
+
+    def test_year_lag_fold_reads_lags_from_the_warm_up(self):
+        # an 8760-h lag never fits inside the 1440-h train window, so fold
+        # anchors keep their targets there and read their lags before it
+        frame = synth_generate(455, 0)
+        mc = ModelConfig(
+            method="svd", heads=1, encoder_layers=1, decoder_layers=1, horizon=24, ffn_width=4
+        )
+        tc = small_train_config(epochs=1, batch_size=256)
+        result = rolling_cv(frame, mc, tc, lag_set=LagSet((8760, 24, 1)), horizons=(24,))
+        assert [(f.train, f.test) for f in result.folds] == [((8760, 10200), (10200, 10920))]
+        assert result.folds[0].report.cells[(24, "full")]["anchors"] > 0
