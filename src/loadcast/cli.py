@@ -59,7 +59,9 @@ from .frames import (
     HOUR,
     apply_scaler,
     fit_scaler,
+    format_cells,
     format_timestamp,
+    format_timestamps,
     inject_noise,
     load_csv,
     parse_timestamp,
@@ -340,21 +342,15 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
         t0 = frame.n_rows - 1 - horizon
     scaled = apply_scaler(frame, scaler)
     preds = forecast_rollout(model, scaled, t0, horizon, lag_set, scaler)
-    load = frame.column(frame.target_name)
-    seen = ~frame.missing[:, frame.target_index]
+    rows = slice(t0 + 1, t0 + 1 + horizon)
+    truth = format_cells(frame.column(frame.target_name)[rows])
     path = os.path.join(cfg.out, "forecast.csv")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "forecast", "truth"])
-        for h in range(horizon):
-            row = t0 + 1 + h
-            writer.writerow(
-                [
-                    format_timestamp(frame.timestamps[row]),
-                    repr(float(preds[h])),
-                    repr(float(load[row])) if seen[row] else "",
-                ]
-            )
+        writer.writerows(
+            zip(format_timestamps(frame.timestamps[rows]), map(repr, preds.tolist()), truth)
+        )
     print(f"{horizon}h forecast from {format_timestamp(frame.timestamps[t0])} -> {path}")
     return EXIT_OK
 

@@ -25,6 +25,7 @@ from .frames import (
     TimeSeriesFrame,
     apply_scaler,
     format_timestamp,
+    format_timestamps,
 )
 from .lags import LagSet, lag_set_for_history
 from .model import Model, forced_keep
@@ -328,8 +329,9 @@ def write_series_csv(path, series: PanelSeries) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "forecast"])
-        for ts, value in zip(series.timestamps, series.values):
-            writer.writerow([format_timestamp(ts), repr(float(value))])
+        writer.writerows(
+            zip(format_timestamps(series.timestamps), map(repr, series.values.tolist()))
+        )
 
 
 def write_panels(out_dir, panels: list[PanelSeries]) -> None:

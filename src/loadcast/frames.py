@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +52,6 @@ def parse_timestamp(text: str) -> np.datetime64:
 
 def format_timestamp(t: np.datetime64) -> str:
     return f"{np.datetime_as_string(np.datetime64(t, 's'))}Z"
-
-
-def hours_between(later: np.datetime64, earlier: np.datetime64) -> int:
-    return int((np.datetime64(later, "h") - np.datetime64(earlier, "h")) // HOUR)
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +145,14 @@ class TimeSeriesFrame:
             if spec.kind != CATEGORICAL:
                 continue
             col = vals[present[:, j], j]
-            if col.size == 0:
+            k = _first_bad_category(col, spec.cardinality)
+            if k is None:
                 continue
-            if not np.all(col == np.rint(col)):
+            if col[k] != np.trunc(col[k]):
                 raise SchemaError(f"categorical feature {spec.name!r} has non-integer values")
-            if col.min() < 0 or col.max() >= spec.cardinality:
-                raise SchemaError(
-                    f"categorical feature {spec.name!r} outside [0, {spec.cardinality})"
-                )
+            raise SchemaError(
+                f"categorical feature {spec.name!r} outside [0, {spec.cardinality})"
+            )
 
         for arr in (ts, vals, miss):
             arr.flags.writeable = False
@@ -216,12 +213,30 @@ class TimeSeriesFrame:
 # CSV interchange
 # ---------------------------------------------------------------------------
 
-def _format_cell(value: float, spec: FeatureSpec) -> str:
-    if np.isnan(value):
-        return ""
-    if spec.kind == CATEGORICAL:
-        return str(int(value))
-    return repr(float(value))
+# The timestamp form ``write_csv`` emits; "0" marks a digit slot.
+_CANONICAL = np.frombuffer("0000-00-00T00:00:00Z".encode("utf-32-le"), dtype=np.uint32)
+_DIGIT_SLOTS = _CANONICAL == ord("0")
+_YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
+_WRITE_BLOCK = 1024  # rows that write_csv formats at once
+
+
+def format_timestamps(ts) -> list[str]:
+    """``format_timestamp`` over an array of timestamps, in one numpy call."""
+    text = np.datetime_as_string(np.asarray(ts, dtype="datetime64[s]"))
+    return np.char.add(text, "Z").tolist()
+
+
+def format_cells(col: np.ndarray, kind: str = CONTINUOUS) -> list[str]:
+    """One column's CSV cells: ``repr``, or ``str(int(v))`` if categorical;
+    NaN is an empty cell."""
+    nan = np.isnan(col)
+    if kind == CATEGORICAL:
+        cells = list(map(str, np.where(nan, 0, col).astype(np.int64).tolist()))
+    else:
+        cells = list(map(repr, col.tolist()))
+    for i in np.flatnonzero(nan).tolist():
+        cells[i] = ""
+    return cells
 
 
 def forward_fill(frame: TimeSeriesFrame) -> TimeSeriesFrame:
@@ -231,17 +246,105 @@ def forward_fill(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     default everywhere; input assembly refuses missing rows unless the
     caller opts into this imputation first.
     """
-    values = frame.values.copy()
-    missing = frame.missing.copy()
-    for j in range(frame.n_features):
-        last = None
-        for i in range(frame.n_rows):
-            if not missing[i, j]:
-                last = values[i, j]
-            elif last is not None:
-                values[i, j] = last
-                missing[i, j] = False
-    return frame.with_values(values, missing)
+    rows = np.arange(frame.n_rows)[:, None]
+    last = np.maximum.accumulate(np.where(frame.missing, -1, rows), axis=0)
+    values = np.take_along_axis(frame.values, np.maximum(last, 0), axis=0)
+    return frame.with_values(values, last < 0)
+
+
+def _first_bad_category(col: np.ndarray, cardinality: int) -> int | None:
+    """Index of the first value in ``col`` that is not an integer in [0, cardinality)."""
+    bad = ~((col == np.trunc(col)) & (col >= 0) & (col < cardinality))
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _parse_timestamps(texts) -> tuple[np.ndarray, int, ParseError | None]:
+    """Parse a timestamp column; return its hours and its first fault.
+
+    Texts in the canonical ``YYYY-MM-DDTHH:MM:SSZ`` form are parsed in one
+    numpy call, without the ``Z`` that numpy would warn about.  Every other
+    form goes through ``parse_timestamp``, and so does any canonical text
+    that numpy rejects (a field out of range), that is off the hour, or that
+    falls in year 0, which numpy accepts and ``datetime`` does not.  So both
+    paths give the same hour and the same error.  Returns
+    ``(hours, n, None)`` when every text parses, else the index of the first
+    bad text and its error.
+    """
+    n = len(texts)
+    hours = np.empty(n, dtype="datetime64[h]")
+    fast = np.zeros(n, dtype=bool)
+    sized = np.fromiter(map(len, texts), dtype=np.intp, count=n) == _CANONICAL.size
+    if sized.any():
+        where = np.flatnonzero(sized)
+        text = np.array(list(compress(texts, sized)))
+        codes = text.view(np.uint32).reshape(where.size, _CANONICAL.size)
+        form = np.where(_DIGIT_SLOTS, codes - ord("0") < 10, codes == _CANONICAL).all(axis=1)
+        where, text = where[form], text[form].astype(f"<U{_CANONICAL.size - 1}")
+        try:
+            stamps = text.astype("datetime64[s]")
+        except ValueError:  # a field out of range: parse_timestamp names it
+            pass
+        else:
+            ok = (stamps >= _YEAR_ONE) & (stamps.astype(np.int64) % 3600 == 0)
+            hours[where[ok]] = stamps[ok].astype("datetime64[h]")
+            fast[where[ok]] = True
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            hours[i] = parse_timestamp(texts[i])
+        except ParseError as exc:
+            return hours, i, exc
+    return hours, n, None
+
+
+def _first_repeat(stamps: np.ndarray) -> int:
+    """Index of the first entry equal to an earlier one, else ``len(stamps)``."""
+    order = np.argsort(stamps, kind="stable")
+    later = order[1:][stamps[order[1:]] == stamps[order[:-1]]]
+    return int(later.min()) if later.size else stamps.size
+
+
+def _parse_cells(cells, spec: FeatureSpec):
+    """Parse one column; return ``(values, blank, fault)``.
+
+    Blank (empty or whitespace-only) cells are missing and hold NaN.
+    ``fault`` is ``None`` or ``(row, error type, detail)`` for the column's
+    first bad cell: a bad number, a non-finite value, or a categorical code
+    outside the schema.  Cells past a bad number are left unparsed.
+    """
+    n = len(cells)
+    texts = list(map(str.strip, cells))
+    blank = np.fromiter(map(len, texts), dtype=np.intp, count=n) == 0
+    rows = np.flatnonzero(~blank)
+    filled = list(compress(texts, ~blank))
+    values = np.full(n, np.nan)
+    end = n  # rows from here on are past a bad number
+    try:
+        values[rows] = np.array(filled, dtype=np.float64)
+    except ValueError:  # find the cell float() rejects; parse up to it
+        parsed = []
+        for text in filled:
+            try:
+                parsed.append(float(text))
+            except ValueError:
+                break
+        values[rows[: len(parsed)]] = parsed
+        if len(parsed) < len(filled):
+            end = int(rows[len(parsed)])
+    present = np.where(blank[:end], 0.0, values[:end])  # blanks pass every check
+    if spec.kind == CATEGORICAL:
+        k = _first_bad_category(present, spec.cardinality)
+    else:
+        finite = np.isfinite(present)
+        k = None if finite.all() else int(finite.argmin())
+    if k is not None and not np.isfinite(present[k]):
+        return values, blank, (k, ParseError, f"non-finite value {cells[k]!r}")
+    if k is not None:
+        return values, blank, (
+            k, SchemaError, f"value {cells[k]!r} outside [0, {spec.cardinality})"
+        )
+    if end < n:
+        return values, blank, (end, ParseError, f"bad number {cells[end]!r}")
+    return values, blank, None
 
 
 def load_csv(path, schema: list[FeatureSpec], fill: bool = False) -> TimeSeriesFrame:
@@ -249,63 +352,60 @@ def load_csv(path, schema: list[FeatureSpec], fill: bool = False) -> TimeSeriesF
 
     The header must be ``timestamp`` followed by the schema names in order.
     Empty cells are missing; absent hours become fully missing rows.
-    ``fill=True`` forward-fills those gaps after loading.
+    ``fill=True`` forward-fills those gaps after loading.  The first fault
+    in file order is raised: row faults (cell count, timestamp, duplicate)
+    before cell faults, and cell faults row by row, column by column.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such dataset: {path}")
     expected = ["timestamp"] + [s.name for s in schema]
-    rows: dict[np.datetime64, list[str]] = {}
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != expected:
             raise SchemaError(f"header {header} does not match schema {expected}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(expected):
-                raise ParseError(f"row {lineno}: expected {len(expected)} cells, got {len(row)}")
-            try:
-                t = parse_timestamp(row[0])
-            except ParseError as exc:
-                raise ParseError(f"row {lineno}: {exc}") from None
-            if t in rows:
-                raise IntegrityError(f"row {lineno}: duplicate timestamp {row[0]}")
-            rows[t] = row[1:]
-
+        rows = list(reader)
+    widths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    linenos = np.flatnonzero(widths) + 2  # the reader counts blank rows too
+    rows = list(compress(rows, widths))
+    widths = widths[widths > 0]
     if not rows:
         raise ParseError(f"{path} holds no data rows")
 
-    stamps = np.array(sorted(rows), dtype="datetime64[h]")
-    start, stop = stamps[0], stamps[-1]
-    t_total = hours_between(stop, start) + 1
-    grid = start + np.arange(t_total) * HOUR
-    f = len(schema)
-    values = np.full((t_total, f), np.nan)
-    missing = np.ones((t_total, f), dtype=bool)
+    short = np.flatnonzero(widths != len(expected))
+    m = int(short[0]) if short.size else len(rows)  # rows before the first bad width
+    columns = list(zip(*rows[:m])) or [()]
+    del rows  # the columns hold the cells now
+    stamps, bad, stamp_error = _parse_timestamps(columns[0])
+    repeat = _first_repeat(stamps[:bad])
+    if repeat < bad:
+        raise IntegrityError(
+            f"row {linenos[repeat]}: duplicate timestamp {columns[0][repeat]}"
+        )
+    if bad < m:
+        raise ParseError(f"row {linenos[bad]}: {stamp_error}")
+    if m < widths.size:
+        raise ParseError(
+            f"row {linenos[m]}: expected {len(expected)} cells, got {widths[m]}"
+        )
 
-    for t, cells in rows.items():
-        i = hours_between(t, start)
-        for j, (cell, spec) in enumerate(zip(cells, schema)):
-            text = cell.strip()
-            if text == "":
-                continue
-            try:
-                v = float(text)
-            except ValueError:
-                raise ParseError(
-                    f"feature {spec.name!r} at {format_timestamp(t)}: bad number {cell!r}"
-                ) from None
-            if spec.kind == CATEGORICAL:
-                if v != int(v) or not 0 <= v < spec.cardinality:
-                    raise SchemaError(
-                        f"feature {spec.name!r} at {format_timestamp(t)}: "
-                        f"value {cell!r} outside [0, {spec.cardinality})"
-                    )
-            values[i, j] = v
-            missing[i, j] = False
+    cols, blanks, faults = zip(*map(_parse_cells, columns[1:], schema))
+    first = min(((f[0], j) for j, f in enumerate(faults) if f), default=None)
+    if first is not None:
+        row, j = first
+        _, error, detail = faults[j]
+        raise error(
+            f"feature {schema[j].name!r} at {format_timestamp(stamps[row])}: {detail}"
+        )
 
+    start = stamps.min()
+    grid = start + np.arange((stamps.max() - start) // HOUR + 1) * HOUR
+    values = np.full((grid.size, len(schema)), np.nan)
+    missing = np.ones((grid.size, len(schema)), dtype=bool)
+    idx = (stamps - start) // HOUR
+    values[idx] = np.column_stack(cols)
+    missing[idx] = np.column_stack(blanks)
     frame = TimeSeriesFrame(grid, tuple(schema), values, missing)
     return forward_fill(frame) if fill else frame
 
@@ -317,13 +417,13 @@ def write_csv(frame: TimeSeriesFrame, path) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp"] + [s.name for s in frame.specs])
-        for i in range(frame.n_rows):
-            cells = [format_timestamp(frame.timestamps[i])]
-            cells += [
-                _format_cell(frame.values[i, j], frame.specs[j])
-                for j in range(frame.n_features)
+        # a block of rows at a time, so that not every cell string lives at once
+        for lo in range(0, frame.n_rows, _WRITE_BLOCK):
+            rows = slice(lo, lo + _WRITE_BLOCK)
+            cells = [
+                format_cells(frame.values[rows, j], s.kind) for j, s in enumerate(frame.specs)
             ]
-            writer.writerow(cells)
+            writer.writerows(zip(format_timestamps(frame.timestamps[rows]), *cells))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -289,7 +290,18 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         arrays[f"v{i}"] = ckpt.adam.v[name]
         if ckpt.best_params is not None:
             arrays[f"b{i}"] = ckpt.best_params[name]
-    np.savez(path, **arrays)
+    # Write a sibling file and rename it into place, so that an interrupted
+    # save leaves the previous checkpoint whole.  Through a file handle,
+    # np.savez adds no ".npz" suffix to the temporary name.
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint:

@@ -117,6 +117,28 @@ class TestIngest:
         moved.write_text(cfg_text)
         assert main(["ingest", "--config", str(moved)]) == EXIT_MISSING_FILE
 
+    @pytest.mark.parametrize("column", [1, 7])  # load, holiday_id
+    def test_non_finite_cell_is_data_error(self, tmp_path, workspace, capsys, column):
+        _, config = workspace
+        cells = ["2020-01-01T00:00:00Z", "1.0", "0", "0", "0", "0", "0", "0", "0"]
+        cells[column] = "nan"
+        bad = tmp_path / "bad.csv"
+        bad.write_text(
+            "timestamp,load,temperature,dewpoint,wind_speed,humidity,rainfall,"
+            "holiday_id,school\n" + ",".join(cells) + "\n"
+        )
+        cfg_text = "\n".join(
+            f"dataset: {bad}" if line.startswith("dataset:") else line
+            for line in config.read_text().splitlines()
+        )
+        moved = tmp_path / "config.yaml"
+        moved.write_text(cfg_text + "\n")
+        assert main(["ingest", "--config", str(moved)]) == EXIT_DATA
+        name = "load" if column == 1 else "holiday_id"
+        assert f"feature '{name}' at 2020-01-01T00:00:00Z: non-finite value 'nan'" in (
+            capsys.readouterr().err
+        )
+
 
 class TestTrainArtifacts:
     def test_checkpoint_and_history_written(self, workspace):

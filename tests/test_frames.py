@@ -1,4 +1,7 @@
 """Frame container, CSV interchange, scaling, noise injection."""
+import csv
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from loadcast.frames import (
     TARGET,
     FeatureSpec,
     TimeSeriesFrame,
+    _first_bad_category,
     apply_scaler,
     fit_scaler,
     format_timestamp,
@@ -27,6 +31,7 @@ from loadcast.frames import (
     standard_schema,
     write_csv,
 )
+from loadcast.synth import synth_generate
 
 from conftest import T0, hourly_timestamps, small_frame, small_schema
 
@@ -311,3 +316,331 @@ class TestInjectNoise:
         frame = small_frame(n=20)
         with pytest.raises(ValueError):
             inject_noise(frame, 1.5, seed=0)
+
+
+FLAG_SCHEMA = [
+    FeatureSpec("load", CONTINUOUS, TARGET),
+    FeatureSpec("flag", CATEGORICAL, EXOGENOUS, cardinality=2),
+]
+
+
+def _load_text(tmp_path, body, schema=FLAG_SCHEMA):
+    path = tmp_path / "data.csv"
+    path.write_text("timestamp,load,flag\n" + body, encoding="utf-8")
+    return load_csv(path, schema)
+
+
+LOAD_ERRORS = {
+    "short row": (
+        "2020-01-01T00:00:00Z,1.0\n",
+        ParseError, "row 2: expected 3 cells, got 2",
+    ),
+    "long row": (
+        "2020-01-01T00:00:00Z,1.0,0\n2020-01-01T01:00:00Z,1.0,0,9\n",
+        ParseError, "row 3: expected 3 cells, got 4",
+    ),
+    "blank line before off-hour stamp": (
+        "\n2020-01-01T00:30:00Z,1.0,0\n",
+        ParseError,
+        "row 3: timestamp '2020-01-01T00:30:00Z' is not on an exact hour boundary",
+    ),
+    "off-hour offset stamp": (
+        "2020-01-01T00:00:00Z,1.0,0\n2020-01-01T03:00:01+02:00,1.0,0\n",
+        ParseError,
+        "row 3: timestamp '2020-01-01T03:00:01+02:00' is not on an exact hour boundary",
+    ),
+    "no offset": (
+        "2020-01-01T00:00:00,1.0,0\n",
+        ParseError, "row 2: timestamp '2020-01-01T00:00:00' lacks a UTC offset",
+    ),
+    "garbage stamp": (
+        "2020-01-01T00:00:00Z,1.0,0\nyesterday,1.0,0\n",
+        ParseError,
+        "row 3: malformed timestamp 'yesterday': Invalid isoformat string: "
+        "'yesterday'",
+    ),
+    "canonical form, impossible date": (
+        "2020-02-30T00:00:00Z,1.0,0\n",
+        ParseError,
+        "row 2: malformed timestamp '2020-02-30T00:00:00Z': "
+        "day is out of range for month",
+    ),
+    "canonical form, year zero": (
+        "0000-01-01T00:00:00Z,1.0,0\n",
+        ParseError,
+        "row 2: malformed timestamp '0000-01-01T00:00:00Z': "
+        "year 0 is out of range",
+    ),
+    "duplicate in another form": (
+        "2020-01-01T00:00:00Z,1.0,0\n"
+        "2020-01-01T01:00:00Z,1.0,0\n"
+        "2020-01-01T01:00:00+00:00,1.0,0\n",
+        IntegrityError, "row 4: duplicate timestamp 2020-01-01T01:00:00+00:00",
+    ),
+    "duplicate across an offset": (
+        "2020-01-01T03:00:00+02:00,1.0,0\n"
+        "2020-01-01T02:00:00Z,1.0,0\n"
+        "2020-01-01T01:00:00Z,1.0,0\n",
+        IntegrityError, "row 4: duplicate timestamp 2020-01-01T01:00:00Z",
+    ),
+    "two duplicates, the first named": (
+        "2020-01-01T00:00:00Z,1.0,0\n"
+        "2020-01-01T01:00:00Z,1.0,0\n"
+        "2020-01-01T02:00:00+01:00,1.0,0\n"
+        "2020-01-01T00:00:00Z,1.0,0\n",
+        IntegrityError, "row 4: duplicate timestamp 2020-01-01T02:00:00+01:00",
+    ),
+    "bad number": (
+        "2020-01-01T00:00:00Z,abc,0\n",
+        ParseError, "feature 'load' at 2020-01-01T00:00:00Z: bad number 'abc'",
+    ),
+    "bad number keeps its spaces": (
+        "2020-01-01T00:00:00Z,1.0,0\n2020-01-01T01:00:00Z, 1.5x ,0\n",
+        ParseError, "feature 'load' at 2020-01-01T01:00:00Z: bad number ' 1.5x '",
+    ),
+    "bad number in a categorical": (
+        "2020-01-01T00:00:00Z,1.0,yes\n",
+        ParseError, "feature 'flag' at 2020-01-01T00:00:00Z: bad number 'yes'",
+    ),
+    "fractional categorical": (
+        "2020-01-01T00:00:00Z,1.0,0.5\n",
+        SchemaError,
+        "feature 'flag' at 2020-01-01T00:00:00Z: value '0.5' outside [0, 2)",
+    ),
+    "categorical above range": (
+        "2020-01-01T00:00:00Z,1.0,1\n2020-01-01T01:00:00Z,1.0,2\n",
+        SchemaError,
+        "feature 'flag' at 2020-01-01T01:00:00Z: value '2' outside [0, 2)",
+    ),
+    "negative categorical": (
+        "2020-01-01T00:00:00Z,1.0,-1\n",
+        SchemaError,
+        "feature 'flag' at 2020-01-01T00:00:00Z: value '-1' outside [0, 2)",
+    ),
+    "row fault after a cell fault": (
+        "2020-01-01T00:00:00Z,abc,0\n2020-01-01T01:00,1.0,0\n",
+        ParseError, "row 3: timestamp '2020-01-01T01:00' lacks a UTC offset",
+    ),
+    "short row after a duplicate": (
+        "2020-01-01T00:00:00Z,1.0,0\n2020-01-01T00:00:00Z,1.0,0\n2020-01-01T01:00:00Z\n",
+        IntegrityError, "row 3: duplicate timestamp 2020-01-01T00:00:00Z",
+    ),
+    "bad stamp before a short row": (
+        "2020-01-01T00:00:00Z,1.0,0\nnoon,1.0,0\n2020-01-01T01:00:00Z\n",
+        ParseError,
+        "row 3: malformed timestamp 'noon': Invalid isoformat string: 'noon'",
+    ),
+    "cell faults in two columns, earlier row wins": (
+        "2020-01-01T00:00:00Z,1.0,0\n"
+        "2020-01-01T01:00:00Z,1.0,7\n"
+        "2020-01-01T02:00:00Z,abc,0\n",
+        SchemaError,
+        "feature 'flag' at 2020-01-01T01:00:00Z: value '7' outside [0, 2)",
+    ),
+    "cell faults in one column, earlier row wins": (
+        "2020-01-01T00:00:00Z,1.0,7\n2020-01-01T01:00:00Z,1.0,x\n",
+        SchemaError,
+        "feature 'flag' at 2020-01-01T00:00:00Z: value '7' outside [0, 2)",
+    ),
+    "cell faults in one row, earlier column wins": (
+        "2020-01-01T00:00:00Z,abc,7\n",
+        ParseError, "feature 'load' at 2020-01-01T00:00:00Z: bad number 'abc'",
+    ),
+    "cell faults follow file order, not time order": (
+        "2020-01-01T05:00:00Z,1.0,9\n2020-01-01T01:00:00Z,abc,0\n",
+        SchemaError,
+        "feature 'flag' at 2020-01-01T05:00:00Z: value '9' outside [0, 2)",
+    ),
+}
+
+
+class TestLoadCsvErrors:
+    """Each fault raises its type and exact message, first fault first."""
+
+    @pytest.mark.parametrize("case", sorted(LOAD_ERRORS))
+    def test_type_and_message(self, tmp_path, case):
+        body, exc_type, message = LOAD_ERRORS[case]
+        with pytest.raises(exc_type) as info:
+            _load_text(tmp_path, body)
+        assert str(info.value) == message
+
+    def test_header_only(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("timestamp,load,flag\n\n", encoding="utf-8")
+        with pytest.raises(ParseError) as info:
+            load_csv(path, FLAG_SCHEMA)
+        assert str(info.value) == f"{path} holds no data rows"
+
+
+class TestNonFiniteCells:
+    """A NaN or infinite cell is a data error that names its feature and hour."""
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", " NaN ", "-Infinity"])
+    @pytest.mark.parametrize("column", ["load", "flag"])
+    def test_named_parse_error(self, tmp_path, text, column):
+        cells = {"load": "1.0", "flag": "0"}
+        cells[column] = text
+        body = (
+            "2020-01-01T00:00:00Z,1.0,0\n"
+            f"2020-01-01T01:00:00Z,{cells['load']},{cells['flag']}\n"
+        )
+        with pytest.raises(ParseError) as info:
+            _load_text(tmp_path, body)
+        assert str(info.value) == (
+            f"feature {column!r} at 2020-01-01T01:00:00Z: non-finite value {text!r}"
+        )
+
+    def test_earlier_cell_fault_wins(self, tmp_path):
+        body = "2020-01-01T00:00:00Z,1.0,5\n2020-01-01T01:00:00Z,nan,0\n"
+        with pytest.raises(SchemaError, match="value '5' outside"):
+            _load_text(tmp_path, body)
+
+
+class TestTimestampForms:
+    def test_offsets_and_order_give_the_canonical_frame(self, tmp_path):
+        canonical = (
+            "timestamp,load,flag\n"
+            "2020-01-01T00:00:00Z,10.5,1\n"
+            "2020-01-01T01:00:00Z,11.0,0\n"
+            "2020-01-01T03:00:00Z,,1\n"
+            "2020-01-01T04:00:00Z,13.25,\n"
+            "2020-01-01T07:00:00Z,14.0,0\n"
+        )
+        mixed = (
+            "timestamp,load,flag\n"
+            "2020-01-01T09:00:00+02:00,14.0,0\n"
+            "2020-01-01T01:00:00+00:00,11.0,0\n"
+            "\n"
+            "2020-01-01T04:00:00Z,13.25,\n"
+            "2019-12-31T23:00:00-01:00,10.5,1\n"
+            " 2020-01-01T03:00:00Z ,,1\n"
+        )
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text(canonical, encoding="utf-8")
+        b.write_text(mixed, encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = load_csv(a, FLAG_SCHEMA)
+            got = load_csv(b, FLAG_SCHEMA)
+        assert want.n_rows == 8
+        assert got.timestamps.tobytes() == want.timestamps.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.missing.tobytes() == want.missing.tobytes()
+
+
+def _forward_fill_reference(values, missing):
+    """The per-cell loop ``forward_fill`` replaced, kept as its reference."""
+    values, missing = values.copy(), missing.copy()
+    for j in range(values.shape[1]):
+        last = None
+        for i in range(values.shape[0]):
+            if not missing[i, j]:
+                last = values[i, j]
+            elif last is not None:
+                values[i, j] = last
+                missing[i, j] = False
+    return values, missing
+
+
+class TestForwardFillMatchesLoop:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        frame = small_frame(n=120, seed=seed)
+        missing = rng.random(frame.missing.shape) < [0.1, 0.5, 0.9][seed % 3]
+        missing[: seed % 4, seed % 3] = True  # leading gap in one column
+        values = frame.values.copy()
+        values[missing] = np.nan
+        self._check(frame.with_values(values, missing))
+
+    def test_column_missing_from_the_start_and_all_missing_column(self):
+        frame = small_frame(n=50, seed=7)
+        missing = np.zeros(frame.missing.shape, bool)
+        missing[:20, 0] = True  # missing from the start
+        missing[:, 1] = True  # never observed
+        missing[30:, 2] = True  # missing to the end
+        values = frame.values.copy()
+        values[missing] = np.nan
+        filled = self._check(frame.with_values(values, missing))
+        assert filled.missing[:20, 0].all() and not filled.missing[20:, 0].any()
+        assert filled.missing[:, 1].all()
+        assert (filled.values[30:, 2] == values[29, 2]).all()
+
+    @staticmethod
+    def _check(frame):
+        want_values, want_missing = _forward_fill_reference(frame.values, frame.missing)
+        got = forward_fill(frame)
+        assert got.values.tobytes() == want_values.tobytes()
+        assert got.missing.tobytes() == want_missing.tobytes()
+        return got
+
+
+def _write_csv_reference(frame, path):
+    """The per-cell writer ``write_csv`` replaced, kept as its reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["timestamp"] + [s.name for s in frame.specs])
+        for i in range(frame.n_rows):
+            cells = [format_timestamp(frame.timestamps[i])]
+            for j, spec in enumerate(frame.specs):
+                v = frame.values[i, j]
+                if np.isnan(v):
+                    cells.append("")
+                elif spec.kind == CATEGORICAL:
+                    cells.append(str(int(v)))
+                else:
+                    cells.append(repr(float(v)))
+            writer.writerow(cells)
+
+
+class TestWriteCsvMatchesLoop:
+    def _check(self, frame, tmp_path):
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        _write_csv_reference(frame, want)
+        write_csv(frame, got)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_synthetic_year(self, tmp_path):
+        self._check(synth_generate(365, 1), tmp_path)
+
+    def test_missing_cells_in_every_column(self, tmp_path):
+        frame = synth_generate(20, 2)
+        missing = np.random.default_rng(2).random(frame.missing.shape) < 0.3
+        missing[0] = True
+        missing[-1] = True
+        values = frame.values.copy()
+        values[missing] = np.nan
+        self._check(frame.with_values(values, missing), tmp_path)
+
+    def test_extreme_floats(self, tmp_path):
+        frame = small_frame(n=6)
+        values = frame.values.copy()
+        values[:, 1] = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, -2.5e-7]
+        self._check(frame.with_values(values), tmp_path)
+
+
+class TestCategoricalCheck:
+    def test_first_bad_category(self):
+        assert _first_bad_category(np.array([0.0, 1.0, 2.0]), 3) is None
+        assert _first_bad_category(np.array([], dtype=float), 3) is None
+        assert _first_bad_category(np.array([0.0, 3.0, 0.5]), 3) == 1
+        assert _first_bad_category(np.array([1.0, 0.5, -1.0]), 3) == 1
+        assert _first_bad_category(np.array([1.0, 2.0, -1.0]), 3) == 2
+        assert _first_bad_category(np.array([1.0, np.inf]), 3) == 1
+        assert _first_bad_category(np.array([np.nan, 1.0]), 3) == 0
+
+    @pytest.mark.parametrize(
+        "cell, message",
+        [
+            (2.5, "categorical feature 'hour' has non-integer values"),
+            (24.0, "categorical feature 'hour' outside [0, 24)"),
+            (-1.0, "categorical feature 'hour' outside [0, 24)"),
+        ],
+    )
+    def test_frame_messages(self, cell, message):
+        frame = small_frame(n=5)
+        values = frame.values.copy()
+        values[3, 2] = cell
+        with pytest.raises(SchemaError) as info:
+            frame.with_values(values)
+        assert str(info.value) == message

@@ -26,6 +26,7 @@ from loadcast.training import (
     mape_loss,
     mse_loss,
     rolling_cv,
+    save_checkpoint,
     split_chronological,
     train,
     train_anchors,
@@ -467,3 +468,44 @@ class TestRollingCv:
         result = rolling_cv(frame, mc, tc, lag_set=LagSet((8760, 24, 1)), horizons=(24,))
         assert [(f.train, f.test) for f in result.folds] == [((8760, 10200), (10200, 10920))]
         assert result.folds[0].report.cells[(24, "full")]["anchors"] > 0
+
+
+class TestAtomicCheckpoint:
+    def test_failed_save_keeps_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        frame = small_frame(n=400, seed=9)
+        ck = tmp_path / "ck.npz"
+        train(frame, small_model_config(), small_train_config(epochs=1),
+              lag_set=SMALL_LAGS, checkpoint_path=str(ck))
+        before = load_checkpoint(str(ck))
+        saved = ck.read_bytes()
+
+        real_savez = np.savez
+
+        def savez_then_fail(file, **arrays):
+            # a torn zip, as a kill during the save would leave
+            if isinstance(file, str):
+                with open(file, "wb") as fh:
+                    fh.write(b"PK\x03\x04 partial")
+            else:
+                file.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(str(ck), before)
+        monkeypatch.setattr(np, "savez", real_savez)
+
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck.npz"]
+        assert ck.read_bytes() == saved
+        after = load_checkpoint(str(ck))
+        assert after.epoch == before.epoch
+        for name in before.params:
+            np.testing.assert_array_equal(after.params[name], before.params[name])
+
+    def test_path_without_suffix_is_kept(self, tmp_path):
+        frame = small_frame(n=400, seed=9)
+        ck = tmp_path / "resume-point"
+        train(frame, small_model_config(), small_train_config(epochs=1),
+              lag_set=SMALL_LAGS, checkpoint_path=str(ck))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["resume-point"]
+        assert load_checkpoint(str(ck)).epoch == 1
