@@ -6,182 +6,5 @@ views with a small attention encoder/decoder, and trains with a relative
 error loss.  Evaluation, rolling-origin backtesting, noise robustness
 checks, and embedding interpretability tools ride on the same core.
 """
-from .autodiff import Mat, RngStream, finite_diff_check
-from .calendars import (
-    CALENDAR_VIEWS,
-    CalendarConfig,
-    calendar_specs,
-    derive_calendar_views,
-    load_region,
-    write_region,
-)
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DegenerateFeatureError,
-    DivergenceError,
-    FingerprintError,
-    FrameTooShortError,
-    IntegrityError,
-    LoadcastError,
-    ParseError,
-    SchemaError,
-)
-from .evaluation import (
-    HorizonSpec,
-    MetricsReport,
-    evaluate,
-    forecast_rollout,
-    seasonal_naive,
-    write_report_csv,
-    write_report_json,
-)
-from .explain import (
-    EmbeddingDump,
-    SvdReport,
-    ViewGroup,
-    default_groups,
-    dump_embeddings,
-    isolate_view,
-    isolation_panels,
-    jacobi_svd,
-    svd_embeddings,
-    validate_groups,
-    write_embeddings,
-    write_panels,
-    write_svd,
-)
-from .frames import (
-    FeatureSpec,
-    FeatureStats,
-    Scaler,
-    TimeSeriesFrame,
-    apply_scaler,
-    fit_scaler,
-    forward_fill,
-    inject_noise,
-    invert_scaler,
-    load_csv,
-    standard_schema,
-    write_csv,
-)
-from .lags import LagSet, ScaledInput, build_batch, build_input, lag_set_for_history, valid_timestamps
-from .model import (
-    Model,
-    ModelConfig,
-    ModelTrace,
-    Quantizer,
-    forced_keep,
-    param_count,
-)
-from .synth import synth_generate, synth_region
-from .training import (
-    Checkpoint,
-    CvResult,
-    CvSpec,
-    SplitSpec,
-    TrainConfig,
-    TrainResult,
-    adamw_step,
-    config_fingerprint,
-    cosine_lr,
-    cv_folds,
-    fit,
-    load_checkpoint,
-    mape,
-    mape_loss,
-    mse_loss,
-    rolling_cv,
-    save_checkpoint,
-    split_chronological,
-    train,
-)
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CALENDAR_VIEWS",
-    "CalendarConfig",
-    "Checkpoint",
-    "ConfigError",
-    "CoverageError",
-    "CvResult",
-    "CvSpec",
-    "DegenerateFeatureError",
-    "DivergenceError",
-    "EmbeddingDump",
-    "FeatureSpec",
-    "FeatureStats",
-    "FingerprintError",
-    "FrameTooShortError",
-    "HorizonSpec",
-    "IntegrityError",
-    "LagSet",
-    "LoadcastError",
-    "Mat",
-    "MetricsReport",
-    "Model",
-    "ModelConfig",
-    "ModelTrace",
-    "ParseError",
-    "Quantizer",
-    "RngStream",
-    "ScaledInput",
-    "Scaler",
-    "SchemaError",
-    "SplitSpec",
-    "SvdReport",
-    "TimeSeriesFrame",
-    "TrainConfig",
-    "TrainResult",
-    "ViewGroup",
-    "adamw_step",
-    "apply_scaler",
-    "build_batch",
-    "build_input",
-    "calendar_specs",
-    "config_fingerprint",
-    "cosine_lr",
-    "cv_folds",
-    "default_groups",
-    "derive_calendar_views",
-    "dump_embeddings",
-    "evaluate",
-    "finite_diff_check",
-    "fit",
-    "fit_scaler",
-    "forward_fill",
-    "forced_keep",
-    "forecast_rollout",
-    "inject_noise",
-    "invert_scaler",
-    "isolate_view",
-    "isolation_panels",
-    "jacobi_svd",
-    "lag_set_for_history",
-    "load_checkpoint",
-    "load_csv",
-    "load_region",
-    "mape",
-    "mape_loss",
-    "mse_loss",
-    "param_count",
-    "rolling_cv",
-    "save_checkpoint",
-    "seasonal_naive",
-    "split_chronological",
-    "standard_schema",
-    "svd_embeddings",
-    "validate_groups",
-    "synth_generate",
-    "synth_region",
-    "train",
-    "valid_timestamps",
-    "write_csv",
-    "write_embeddings",
-    "write_panels",
-    "write_region",
-    "write_report_csv",
-    "write_report_json",
-    "write_svd",
-]

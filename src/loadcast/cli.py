@@ -12,7 +12,6 @@ insufficient data.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass, field, replace
@@ -27,17 +26,7 @@ from .calendars import (
     load_region,
     write_region,
 )
-from .errors import (
-    ConfigError,
-    CoverageError,
-    DegenerateFeatureError,
-    DivergenceError,
-    FingerprintError,
-    FrameTooShortError,
-    IntegrityError,
-    ParseError,
-    SchemaError,
-)
+from .errors import ConfigError, FingerprintError, LoadcastError, SchemaError
 from .evaluation import (
     evaluate,
     forecast_rollout,
@@ -59,14 +48,15 @@ from .frames import (
     HOUR,
     apply_scaler,
     fit_scaler,
-    format_cells,
     format_timestamp,
     format_timestamps,
     inject_noise,
     load_csv,
     parse_timestamp,
     standard_schema,
+    table_cells,
     write_csv,
+    write_table,
 )
 from .lags import LagSet, lag_set_for_history
 from .model import Model, ModelConfig, param_count
@@ -88,16 +78,6 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_FINGERPRINT = 4
 EXIT_DATA = 5
-
-_DATA_ERRORS = (
-    ParseError,
-    SchemaError,
-    IntegrityError,
-    CoverageError,
-    FrameTooShortError,
-    DegenerateFeatureError,
-    DivergenceError,
-)
 
 
 @dataclass
@@ -123,7 +103,7 @@ class RunConfig:
 def _build_section(cls, section: dict, name: str):
     try:
         return cls(**section)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad {name} section: {exc}") from None
 
 
@@ -232,21 +212,6 @@ def _restore_model(cfg: RunConfig, frame, lag_set: LagSet):
     return model, scaler, split, fingerprint
 
 
-def _write_history_csv(path, history) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "lr", "train_loss", "val_loss"])
-        for entry in history:
-            writer.writerow(
-                [
-                    entry["epoch"],
-                    repr(entry["lr"]),
-                    repr(entry["train_loss"]),
-                    "" if entry["val_loss"] is None else repr(entry["val_loss"]),
-                ]
-            )
-
-
 def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -297,7 +262,11 @@ def cmd_train(cfg: RunConfig, args) -> int:
         resume_path=resume,
         log=_log,
     )
-    _write_history_csv(os.path.join(cfg.out, "history.csv"), result.history)
+    write_table(
+        os.path.join(cfg.out, "history.csv"),
+        ["epoch", "lr", "train_loss", "val_loss"],
+        ([e["epoch"], e["lr"], e["train_loss"], e["val_loss"]] for e in result.history),
+    )
     best = "" if result.best_val is None else f", best val {result.best_val:.4f}"
     print(f"trained {len(result.history)} epochs{best} -> {checkpoint}")
     return EXIT_OK
@@ -343,14 +312,13 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     scaled = apply_scaler(frame, scaler)
     preds = forecast_rollout(model, scaled, t0, horizon, lag_set, scaler)
     rows = slice(t0 + 1, t0 + 1 + horizon)
-    truth = format_cells(frame.column(frame.target_name)[rows])
+    truth = table_cells(frame.column(frame.target_name)[rows])
     path = os.path.join(cfg.out, "forecast.csv")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "forecast", "truth"])
-        writer.writerows(
-            zip(format_timestamps(frame.timestamps[rows]), map(repr, preds.tolist()), truth)
-        )
+    write_table(
+        path,
+        ["timestamp", "forecast", "truth"],
+        zip(format_timestamps(frame.timestamps[rows]), preds.tolist(), truth),
+    )
     print(f"{horizon}h forecast from {format_timestamp(frame.timestamps[t0])} -> {path}")
     return EXIT_OK
 
@@ -411,37 +379,24 @@ def cmd_cv(cfg: RunConfig, args) -> int:
     )
     os.makedirs(cfg.out, exist_ok=True)
     folds_path = os.path.join(cfg.out, "cv_folds.csv")
-    with open(folds_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["fold", "train_start", "train_end", "test_start", "test_end",
-             "horizon", "subset", "mape", "anchors"]
-        )
-        for fold in result.folds:
-            for (horizon, subset) in sorted(fold.report.cells):
-                cell = fold.report.cells[(horizon, subset)]
-                writer.writerow(
-                    [
-                        fold.index,
-                        fold.train[0],
-                        fold.train[1],
-                        fold.test[0],
-                        fold.test[1],
-                        horizon,
-                        subset,
-                        "" if cell["mape"] is None else repr(cell["mape"]),
-                        cell["anchors"],
-                    ]
-                )
-    agg_path = os.path.join(cfg.out, "cv_aggregate.csv")
-    with open(agg_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["horizon", "subset", "mean_mape", "std_mape", "folds"])
-        for (horizon, subset) in sorted(result.aggregate):
-            agg = result.aggregate[(horizon, subset)]
-            writer.writerow(
-                [horizon, subset, repr(agg["mean"]), repr(agg["std"]), agg["folds"]]
-            )
+    write_table(
+        folds_path,
+        ["fold", "train_start", "train_end", "test_start", "test_end",
+         "horizon", "subset", "mape", "anchors"],
+        (
+            [fold.index, *fold.train, *fold.test, horizon, subset, cell["mape"], cell["anchors"]]
+            for fold in result.folds
+            for (horizon, subset), cell in sorted(fold.report.cells.items())
+        ),
+    )
+    write_table(
+        os.path.join(cfg.out, "cv_aggregate.csv"),
+        ["horizon", "subset", "mean_mape", "std_mape", "folds"],
+        (
+            [horizon, subset, agg["mean"], agg["std"], agg["folds"]]
+            for (horizon, subset), agg in sorted(result.aggregate.items())
+        ),
+    )
     print(f"{len(result.folds)} folds -> {folds_path}")
     return EXIT_OK
 
@@ -577,7 +532,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _DATA_ERRORS as exc:
+    except LoadcastError as exc:  # every other package error is about the data
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - last resort

@@ -12,8 +12,6 @@ holiday-touching subset, and a noise-injected rerun.
 """
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -26,10 +24,12 @@ from .frames import (
     apply_scaler,
     format_timestamp,
     inject_noise,
+    write_json,
+    write_table,
 )
 from .lags import LagSet, ScaledInput
 from .model import Mode
-from .training import mape
+from .training import check_targets, mape
 
 SUBSETS = ("full", "holidays", "noisy")
 DEFAULT_STRIDE = 24
@@ -329,6 +329,7 @@ def evaluate(
         anchors = evaluation_anchors(frame, rng, horizon, tau, lag_set, stride)
         window = anchors[:, None] + np.arange(1, horizon + 1)
         truth = raw_load[window]
+        check_targets(frame, raw_load, anchors, horizon)
 
         def scores(source: TimeSeriesFrame) -> np.ndarray:
             preds = forecast_rollout_batch(
@@ -369,19 +370,11 @@ def _cell_rows(report: MetricsReport):
 
 
 def write_report_csv(path, report: MetricsReport) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "horizon", "subset", "mape", "anchors"])
-        for horizon, subset, value, anchors in _cell_rows(report):
-            writer.writerow(
-                [
-                    report.method,
-                    horizon,
-                    subset,
-                    "" if value is None else repr(value),
-                    anchors,
-                ]
-            )
+    write_table(
+        path,
+        ["method", "horizon", "subset", "mape", "anchors"],
+        ([report.method, *row] for row in _cell_rows(report)),
+    )
 
 
 def write_report_json(path, report: MetricsReport) -> None:
@@ -394,6 +387,4 @@ def write_report_json(path, report: MetricsReport) -> None:
             for h, s, v, a in _cell_rows(report)
         ],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, doc)

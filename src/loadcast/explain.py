@@ -8,8 +8,6 @@ variation each dimension carries.
 """
 from __future__ import annotations
 
-import csv
-import json
 import os
 from dataclasses import dataclass, field
 
@@ -26,6 +24,8 @@ from .frames import (
     apply_scaler,
     format_timestamp,
     format_timestamps,
+    write_json,
+    write_table,
 )
 from .lags import LagSet, lag_set_for_history
 from .model import Model, forced_keep
@@ -228,58 +228,6 @@ def dump_embeddings(model: Model) -> EmbeddingDump:
 # SVD of embedding matrices
 # ---------------------------------------------------------------------------
 
-def jacobi_svd(a: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100):
-    """One-sided Jacobi SVD: A = U diag(s) Vᵀ with s descending.
-
-    Rotations orthogonalize column pairs of a working copy until every
-    off-diagonal Gram entry is negligible; column norms are then the
-    singular values.  Columns that vanish keep zero vectors in U, which
-    still reconstructs A exactly.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise ValueError(f"need a matrix, got shape {a.shape}")
-    m, n = a.shape
-    if m < n:
-        u_t, s, v_t = jacobi_svd(a.T, tol, max_sweeps)
-        return v_t.T, s, u_t.T
-
-    b = a.copy()
-    v = np.eye(n)
-    for _ in range(max_sweeps):
-        converged = True
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                alpha = b[:, p] @ b[:, p]
-                beta = b[:, q] @ b[:, q]
-                gamma = b[:, p] @ b[:, q]
-                if abs(gamma) <= tol * np.sqrt(alpha * beta):
-                    continue
-                converged = False
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.hypot(1.0, zeta))
-                c = 1.0 / np.hypot(1.0, t)
-                s_rot = c * t
-                bp = b[:, p].copy()
-                b[:, p] = c * bp - s_rot * b[:, q]
-                b[:, q] = s_rot * bp + c * b[:, q]
-                vp = v[:, p].copy()
-                v[:, p] = c * vp - s_rot * v[:, q]
-                v[:, q] = s_rot * vp + c * v[:, q]
-        if converged:
-            break
-
-    norms = np.linalg.norm(b, axis=0)
-    order = np.argsort(-norms)
-    norms = norms[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros((m, n))
-    nonzero = norms > 0
-    u[:, nonzero] = b[:, nonzero] / norms[nonzero]
-    return u, norms, v.T
-
-
 @dataclass
 class SvdReport:
     # each entry: {"matrix": name, "shape": [m, n], "singular_values": [...],
@@ -300,7 +248,7 @@ def svd_embeddings(model: Model) -> SvdReport:
     report = SvdReport()
 
     def add(name: str, matrix: np.ndarray) -> None:
-        u, s, vt = jacobi_svd(matrix)
+        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
         recon = u @ np.diag(s) @ vt
         err = float(np.linalg.norm(recon - matrix))
         report.entries.append(
@@ -325,21 +273,16 @@ def svd_embeddings(model: Model) -> SvdReport:
 # artifact files
 # ---------------------------------------------------------------------------
 
-def write_series_csv(path, series: PanelSeries) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "forecast"])
-        writer.writerows(
-            zip(format_timestamps(series.timestamps), map(repr, series.values.tolist()))
-        )
-
-
 def write_panels(out_dir, panels: list[PanelSeries]) -> None:
     """One CSV per panel plus a manifest naming them."""
     manifest = {"kind": "isolation-panels", "series": []}
     for panel in panels:
         filename = f"panel_{panel.name}.csv"
-        write_series_csv(os.path.join(out_dir, filename), panel)
+        write_table(
+            os.path.join(out_dir, filename),
+            ["timestamp", "forecast"],
+            zip(format_timestamps(panel.timestamps), panel.values.tolist()),
+        )
         manifest["series"].append(
             {
                 "name": panel.name,
@@ -349,54 +292,38 @@ def write_panels(out_dir, panels: list[PanelSeries]) -> None:
                 "units": "load",
             }
         )
-    with open(os.path.join(out_dir, "panels.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "panels.json"), manifest)
+
+
+def _embedding_rows(dump: EmbeddingDump):
+    for entry in dump.views:
+        if "cells" in entry:
+            for i, (label, value) in enumerate(zip(entry["labels"], entry["cells"])):
+                yield entry["view"], i, label, value
+        else:
+            yield entry["view"], None, "weight_norm", entry["weight_norm"]
+            yield entry["view"], None, "bias_norm", entry["bias_norm"]
 
 
 def write_embeddings(out_dir, dump: EmbeddingDump) -> None:
     """Cells as plot-ready CSV plus the full dump as JSON."""
-    with open(
-        os.path.join(out_dir, "embeddings.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["view", "cell", "label", "value"])
-        for entry in dump.views:
-            if "cells" in entry:
-                for i, (label, value) in enumerate(
-                    zip(entry["labels"], entry["cells"])
-                ):
-                    writer.writerow([entry["view"], i, label, repr(value)])
-            else:
-                writer.writerow(
-                    [entry["view"], "", "weight_norm", repr(entry["weight_norm"])]
-                )
-                writer.writerow(
-                    [entry["view"], "", "bias_norm", repr(entry["bias_norm"])]
-                )
-    with open(
-        os.path.join(out_dir, "gates.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["view", "gate"])
-        for view, gate in dump.gates.items():
-            writer.writerow([view, repr(gate)])
-    with open(
-        os.path.join(out_dir, "embeddings.json"), "w", encoding="utf-8"
-    ) as fh:
-        json.dump(dump.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(
+        os.path.join(out_dir, "embeddings.csv"),
+        ["view", "cell", "label", "value"],
+        _embedding_rows(dump),
+    )
+    write_table(os.path.join(out_dir, "gates.csv"), ["view", "gate"], dump.gates.items())
+    write_json(os.path.join(out_dir, "embeddings.json"), dump.to_dict())
 
 
 def write_svd(out_dir, report: SvdReport) -> None:
-    with open(
-        os.path.join(out_dir, "svd.csv"), "w", newline="", encoding="utf-8"
-    ) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["matrix", "index", "singular_value"])
-        for entry in report.entries:
-            for i, value in enumerate(entry["singular_values"]):
-                writer.writerow([entry["matrix"], i, repr(value)])
-    with open(os.path.join(out_dir, "svd.json"), "w", encoding="utf-8") as fh:
-        json.dump({"entries": report.entries}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_table(
+        os.path.join(out_dir, "svd.csv"),
+        ["matrix", "index", "singular_value"],
+        (
+            (entry["matrix"], i, value)
+            for entry in report.entries
+            for i, value in enumerate(entry["singular_values"])
+        ),
+    )
+    write_json(os.path.join(out_dir, "svd.json"), {"entries": report.entries})

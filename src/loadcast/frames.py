@@ -7,6 +7,7 @@ arguments in this package are half-open ``[start, end)`` in whole hours.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress
@@ -226,16 +227,16 @@ def format_timestamps(ts) -> list[str]:
     return np.char.add(text, "Z").tolist()
 
 
-def format_cells(col: np.ndarray, kind: str = CONTINUOUS) -> list[str]:
-    """One column's CSV cells: ``repr``, or ``str(int(v))`` if categorical;
-    NaN is an empty cell."""
+def table_cells(col: np.ndarray, kind: str = CONTINUOUS) -> list:
+    """One column's cells for ``write_table``: floats, or ints if
+    categorical; NaN is ``None``, an empty cell."""
     nan = np.isnan(col)
     if kind == CATEGORICAL:
-        cells = list(map(str, np.where(nan, 0, col).astype(np.int64).tolist()))
+        cells = np.where(nan, 0, col).astype(np.int64).tolist()
     else:
-        cells = list(map(repr, col.tolist()))
+        cells = col.tolist()
     for i in np.flatnonzero(nan).tolist():
-        cells[i] = ""
+        cells[i] = None
     return cells
 
 
@@ -410,20 +411,40 @@ def load_csv(path, schema: list[FeatureSpec], fill: bool = False) -> TimeSeriesF
     return forward_fill(frame) if fill else frame
 
 
+def write_table(path, header, rows) -> None:
+    """Write a CSV table with LF line ends.
+
+    Every CSV output of the package goes through here.  Cells are Python
+    values: a float is written as its ``repr``, which reads back to the
+    same float, and ``None`` as an empty cell.
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON with indent 2, sorted keys and a final newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame as CSV; exact inverse of ``load_csv`` on valid frames."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp"] + [s.name for s in frame.specs])
-        # a block of rows at a time, so that not every cell string lives at once
+
+    def blocks():  # a block of rows at a time, so that not every cell lives at once
         for lo in range(0, frame.n_rows, _WRITE_BLOCK):
             rows = slice(lo, lo + _WRITE_BLOCK)
             cells = [
-                format_cells(frame.values[rows, j], s.kind) for j, s in enumerate(frame.specs)
+                table_cells(frame.values[rows, j], s.kind) for j, s in enumerate(frame.specs)
             ]
-            writer.writerows(zip(format_timestamps(frame.timestamps[rows]), *cells))
+            yield from zip(format_timestamps(frame.timestamps[rows]), *cells)
+
+    write_table(path, ["timestamp"] + [s.name for s in frame.specs], blocks())
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Mat, RngStream
-from .errors import DivergenceError, FingerprintError, FrameTooShortError
-from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler
+from .errors import DivergenceError, FingerprintError, FrameTooShortError, IntegrityError
+from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, format_timestamp
 from .lags import LagSet, build_batch, lag_set_for_history, valid_timestamps
 from .model import Mode, Model, ModelConfig
 
@@ -61,6 +61,22 @@ def mape(y, y_hat) -> float:
         raise ValueError("mape of empty arrays")
     _guard_targets(y)
     return float(100.0 * np.mean(np.abs(y - y_hat) / np.abs(y)))
+
+
+def check_targets(
+    frame: TimeSeriesFrame, raw_load: np.ndarray, anchors: np.ndarray, horizon: int
+) -> None:
+    """Raise a data error at the earliest hour of the anchors' target
+    windows whose true load is too near zero for a relative error."""
+    rows = np.unique(np.asarray(anchors)[:, None] + np.arange(1, horizon + 1))
+    bad = np.abs(raw_load[rows]) <= MAPE_GUARD
+    if bad.any():
+        row = rows[bad.argmax()]
+        raise IntegrityError(
+            f"feature {frame.target_name!r} at {format_timestamp(frame.timestamps[row])}: "
+            f"value {float(raw_load[row])!r} is not above {MAPE_GUARD}; "
+            f"relative error undefined"
+        )
 
 
 def mape_loss(pred: Mat, y: np.ndarray) -> Mat:
@@ -427,6 +443,11 @@ def fit(
         best_epoch = None
         best_params = None
 
+    if tc.loss == "mape":
+        check_targets(scaled, raw_load, anchors, horizon)
+        if val_anchors is not None:
+            check_targets(scaled, raw_load, val_anchors, horizon)
+
     batches = [
         anchors[i : i + tc.batch_size]
         for i in range(0, len(anchors), tc.batch_size)
@@ -524,7 +545,10 @@ def train(
     scaled = apply_scaler(frame, scaler)
     raw_load = frame.values[:, frame.target_index].copy()
 
-    anchors = train_anchors(frame, lag_set, horizon, *split.train)
+    try:
+        anchors = train_anchors(frame, lag_set, horizon, *split.train)
+    except FrameTooShortError:  # lags may read the warm-up, as in rolling_cv
+        anchors = eval_anchors(frame, lag_set, horizon, *split.train)
     val = eval_anchors(frame, lag_set, horizon, *split.val)
     val = val[:: tc.val_stride]
 

@@ -99,6 +99,21 @@ class TestConfigLoading:
     def test_no_subcommand_is_usage(self, capsys):
         assert main([]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            "train: {epochs: 0}",
+            "train: {split: {test_hours: 0}}",
+            "cv: {step_hours: 0}",
+            "train: {loss: mae}",
+        ],
+    )
+    def test_value_out_of_range_is_usage(self, tmp_path, capsys, section):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(section + "\n")
+        assert main(["train", "--config", str(bad)]) == EXIT_USAGE
+        assert "error: bad " in capsys.readouterr().err
+
 
 class TestIngest:
     def test_writes_frame_with_calendar_views(self, workspace):
@@ -266,6 +281,56 @@ class TestCv:
         full = [r for r in agg[1:] if r[1] == "full"]
         assert {r[0] for r in full} == {"6", "12"}
         assert all(r[4] == "2" for r in full)
+
+
+class TestZeroLoad:
+    @pytest.mark.parametrize(
+        "command, row",
+        [("evaluate", 866), ("train", 600)],  # a test-window and a train-window hour
+    )
+    def test_zero_true_load_is_data_error(self, workspace, tmp_path, capsys, command, row):
+        ws, config = workspace
+        lines = (ws / "data" / "dataset.csv").read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        cells[1] = "0.0"
+        lines[row + 1] = ",".join(cells)
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        moved = tmp_path / "config.yaml"
+        moved.write_text(
+            "\n".join(
+                f"dataset: {dataset}" if line.startswith("dataset:") else line
+                for line in config.read_text().splitlines()
+            )
+            + "\n"
+        )
+        argv = [command, "--config", str(moved)]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"feature 'load' at {cells[0]}: value 0.0 is not above" in err
+        assert "np.float64(" not in err
+
+
+class TestRerunsByteIdentical:
+    def test_every_output_file(self, workspace, tmp_path):
+        ws, config = workspace
+
+        def outputs():
+            for command in ("ingest", "forecast", "explain", "cv"):
+                assert main([command, "--config", str(config)]) == EXIT_OK
+            noisy = tmp_path / "noisy.csv"
+            assert main(["perturb", "--config", str(config), "--out-file", str(noisy)]) == EXIT_OK
+            files = {str(p.relative_to(ws)): p.read_bytes() for p in (ws / "run").rglob("*")
+                     if p.is_file()}
+            return {**files, "noisy.csv": noisy.read_bytes()}
+
+        first = outputs()
+        second = outputs()
+        assert {"run/explain/svd.csv", "run/explain/svd.json", "run/cv_folds.csv"} <= set(first)
+        assert first.keys() == second.keys()
+        assert [name for name in first if first[name] != second[name]] == []
 
 
 class TestParams:

@@ -30,6 +30,8 @@ from loadcast.frames import (
     parse_timestamp,
     standard_schema,
     write_csv,
+    write_json,
+    write_table,
 )
 from loadcast.synth import synth_generate
 
@@ -617,6 +619,22 @@ class TestWriteCsvMatchesLoop:
         values = frame.values.copy()
         values[:, 1] = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, -2.5e-7]
         self._check(frame.with_values(values), tmp_path)
+
+
+class TestWriteTable:
+    def test_table_bytes(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = (row for row in [["[0.1, 0.2)", None, 0.1], ["x", 1e-300, 7]])
+        write_table(path, ["label", "a", "b"], rows)
+        assert path.read_bytes() == b'label,a,b\n"[0.1, 0.2)",,0.1\nx,1e-300,7\n'
+
+    def test_json_bytes(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json(path, {"b": [0.1, None], "a": 1e-300, "label": "[0.1, 0.2)", "n": 7})
+        assert path.read_bytes() == (
+            b'{\n  "a": 1e-300,\n  "b": [\n    0.1,\n    null\n  ],\n'
+            b'  "label": "[0.1, 0.2)",\n  "n": 7\n}\n'
+        )
 
 
 class TestCategoricalCheck:

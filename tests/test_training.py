@@ -352,6 +352,14 @@ class TestTrainLoop:
         assert all(a > b for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 0.5 * losses[0]
 
+    def test_year_lag_with_a_short_window_reads_the_warm_up(self):
+        # a 1,440-h window holds no anchor whose 8,760-h lag stays inside it
+        frame = synth_generate(455, 1)
+        split = SplitSpec(test_hours=720, val_hours=720, max_train_hours=1440)
+        result = train(frame, small_model_config(), small_train_config(epochs=1, split=split))
+        assert result.lag_set.max_lag == 8760
+        assert np.isfinite(result.history[0]["train_loss"])
+
     def test_divergence_reported_with_location(self):
         frame = small_frame(n=400, seed=5)
         scaler = fit_scaler(frame, (0, 280))
