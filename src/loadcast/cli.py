@@ -12,8 +12,11 @@ insufficient data.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
 import os
 import sys
+import zipfile
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -46,6 +49,7 @@ from .explain import (
 )
 from .frames import (
     HOUR,
+    TimeSeriesFrame,
     apply_scaler,
     fit_scaler,
     format_timestamp,
@@ -56,6 +60,7 @@ from .frames import (
     standard_schema,
     table_cells,
     write_csv,
+    write_npz,
     write_table,
 )
 from .lags import LagSet, lag_set_for_history
@@ -98,6 +103,20 @@ class RunConfig:
     explain_groups: dict | None = None
     max_lag: int | None = None
     out: str = "run"
+
+
+# least legal value of each top-level integer; max_lag may also be null
+_LEAST = {"holiday_cardinality": 1, "stride": 1, "noise_seed": 0, "explain_hours": 1, "max_lag": 1}
+
+
+def _check_ranges(cfg: RunConfig) -> RunConfig:
+    for key, least in _LEAST.items():
+        value = getattr(cfg, key)
+        if key == "max_lag" and value is None:
+            continue
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    return cfg
 
 
 def _build_section(cls, section: dict, name: str):
@@ -147,7 +166,7 @@ def load_run_config(path) -> RunConfig:
         cfg.horizons = tuple(int(h) for h in doc["horizons"])
     if "subsets" in doc and doc["subsets"] is not None:
         cfg.subsets = tuple(doc["subsets"])
-    return cfg
+    return _check_ranges(cfg)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
@@ -162,7 +181,7 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
         cfg.max_lag = args.max_lag
     if getattr(args, "out", None) is not None:
         cfg.out = args.out
-    return cfg
+    return _check_ranges(cfg)
 
 
 def _require_file(path, what: str) -> str:
@@ -173,11 +192,36 @@ def _require_file(path, what: str) -> str:
     return path
 
 
-def _load_frame(cfg: RunConfig):
-    """Dataset plus derived calendar views, ready for the model."""
+# Part of every frame cache key: change it whenever the cached layout, the CSV
+# parse or the calendar derivation changes, so that no older frame is served.
+_FRAME_FORMAT = "loadcast-frame-1"
+
+
+def _load_frame(cfg: RunConfig) -> TimeSeriesFrame:
+    """Dataset plus derived calendar views, ready for the model.
+
+    The frame is cached in the run directory as ``frame-<sha>.npz``.  The key
+    hashes the dataset and region bytes and the holiday cardinality, so an
+    edited input never meets a stale frame.  A cache file that cannot be
+    read is ignored, and one that cannot be written is left out.
+    """
     dataset = _require_file(cfg.dataset, "dataset")
     region_path = _require_file(cfg.region, "region")
+    digest = hashlib.sha256(f"{_FRAME_FORMAT} {cfg.holiday_cardinality}".encode())
+    for path in (dataset, region_path):
+        with open(path, "rb") as fh:
+            digest.update(hashlib.file_digest(fh, "sha256").digest())
+    key = digest.hexdigest()
+    cache = os.path.join(cfg.out, f"frame-{key}.npz")
     schema = standard_schema(cfg.holiday_cardinality)
+    try:  # through our own handle: np.load leaks its own when the zip is torn
+        with open(cache, "rb") as fh, np.load(fh) as data:
+            if str(data["key"]) != key:
+                raise ValueError("a frame of other inputs")
+            specs = schema + calendar_specs(int(data["holidays"]))
+            return TimeSeriesFrame(data["timestamps"], specs, data["values"], data["missing"])
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile, LoadcastError):
+        pass  # absent, torn or foreign: parse the CSV instead
     frame = load_csv(dataset, schema)
     region = load_region(region_path)
     if region.holiday_cardinality > cfg.holiday_cardinality:
@@ -185,7 +229,13 @@ def _load_frame(cfg: RunConfig):
             f"region table has {region.holiday_cardinality} holiday ids, "
             f"schema allows {cfg.holiday_cardinality}"
         )
-    return derive_calendar_views(frame, region), region
+    frame = derive_calendar_views(frame, region)
+    with contextlib.suppress(OSError):  # an unwritable run directory only costs a parse
+        write_npz(cache, {
+            "key": key, "holidays": region.holiday_cardinality,
+            "timestamps": frame.timestamps, "values": frame.values, "missing": frame.missing,
+        })
+    return frame
 
 
 def _lag_set(cfg: RunConfig, n_rows: int) -> LagSet:
@@ -235,7 +285,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(cfg: RunConfig, args) -> int:
-    frame, _ = _load_frame(cfg)
+    frame = _load_frame(cfg)
     os.makedirs(cfg.out, exist_ok=True)
     path = os.path.join(cfg.out, "ingested.csv")
     write_csv(frame, path)
@@ -248,7 +298,7 @@ def cmd_ingest(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
-    frame, _ = _load_frame(cfg)
+    frame = _load_frame(cfg)
     lag_set = _lag_set(cfg, frame.n_rows)
     os.makedirs(cfg.out, exist_ok=True)
     checkpoint = os.path.join(cfg.out, "checkpoint.npz")
@@ -273,7 +323,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig, args) -> int:
-    frame, _ = _load_frame(cfg)
+    frame = _load_frame(cfg)
     lag_set = _lag_set(cfg, frame.n_rows)
     model, scaler, split, fingerprint = _restore_model(cfg, frame, lag_set)
     report = evaluate(
@@ -298,7 +348,7 @@ def cmd_evaluate(cfg: RunConfig, args) -> int:
 
 
 def cmd_forecast(cfg: RunConfig, args) -> int:
-    frame, _ = _load_frame(cfg)
+    frame = _load_frame(cfg)
     lag_set = _lag_set(cfg, frame.n_rows)
     model, scaler, _, _ = _restore_model(cfg, frame, lag_set)
     horizon = args.horizon or cfg.horizons[0]
@@ -324,7 +374,7 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
 
 
 def cmd_explain(cfg: RunConfig, args) -> int:
-    frame, _ = _load_frame(cfg)
+    frame = _load_frame(cfg)
     lag_set = _lag_set(cfg, frame.n_rows)
     model, scaler, split, _ = _restore_model(cfg, frame, lag_set)
     if cfg.explain_groups:
@@ -361,7 +411,7 @@ def cmd_perturb(cfg: RunConfig | None, args) -> int:
 
 
 def cmd_cv(cfg: RunConfig, args) -> int:
-    frame, _ = _load_frame(cfg)
+    frame = _load_frame(cfg)
     lag_set = _lag_set(cfg, frame.n_rows)
     horizons = [h for h in cfg.horizons if h % cfg.model.horizon == 0]
     if not horizons:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from itertools import compress
@@ -429,6 +430,20 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def write_npz(path, arrays: dict) -> None:
+    """``np.savez`` through a sibling file renamed into place, so an interrupted
+    write leaves the previous ``path`` whole; the sibling is removed on any
+    failure.  Through a file handle np.savez adds no ".npz" suffix."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def write_csv(frame: TimeSeriesFrame, path) -> None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Mat, RngStream
 from .errors import DivergenceError, FingerprintError, FrameTooShortError, IntegrityError
-from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, format_timestamp
+from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, format_timestamp, write_npz
 from .lags import LagSet, build_batch, lag_set_for_history, valid_timestamps
 from .model import Mode, Model, ModelConfig
 
@@ -33,7 +32,7 @@ ADAM_EPS = 1e-8
 MONTH_HOURS = 720
 YEAR_HOURS = 8760
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +285,9 @@ class Checkpoint:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    """Write ``ckpt`` as its metadata plus one float64 vector each for the
+    parameters, both Adam moments and, when there are any, the best
+    parameters, all in ``param_names`` order."""
     names = list(ckpt.params)
     meta = {
         "version": CHECKPOINT_VERSION,
@@ -295,29 +297,16 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "rng": ckpt.rng_state,
         "best_val": ckpt.best_val,
         "best_epoch": ckpt.best_epoch,
-        "has_best": ckpt.best_params is not None,
         "history": ckpt.history,
         "param_names": names,
+        "shapes": [list(ckpt.params[n].shape) for n in names],
     }
+    stores = {"params": ckpt.params, "m": ckpt.adam.m, "v": ckpt.adam.v, "best": ckpt.best_params}
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for i, name in enumerate(names):
-        arrays[f"p{i}"] = ckpt.params[name]
-        arrays[f"m{i}"] = ckpt.adam.m[name]
-        arrays[f"v{i}"] = ckpt.adam.v[name]
-        if ckpt.best_params is not None:
-            arrays[f"b{i}"] = ckpt.best_params[name]
-    # Write a sibling file and rename it into place, so that an interrupted
-    # save leaves the previous checkpoint whole.  Through a file handle,
-    # np.savez adds no ".npz" suffix to the temporary name.
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez(fh, **arrays)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    for key, store in stores.items():
+        if store is not None:
+            arrays[key] = np.concatenate([np.ravel(store[n]) for n in names])
+    write_npz(path, arrays)
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint:
@@ -326,7 +315,7 @@ def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint
         if meta.get("version") != CHECKPOINT_VERSION:
             raise FingerprintError(
                 f"checkpoint version {meta.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}"
+                f"expected {CHECKPOINT_VERSION}; train the run again"
             )
         if (
             expected_fingerprint is not None
@@ -337,25 +326,25 @@ def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint
                 f"(stored {meta['fingerprint'][:12]}..., "
                 f"current {expected_fingerprint[:12]}...)"
             )
-        names = meta["param_names"]
-        params = {}
-        adam = AdamState(steps=meta["steps"])
-        best = {} if meta["has_best"] else None
-        for i, name in enumerate(names):
-            params[name] = data[f"p{i}"].copy()
-            adam.m[name] = data[f"m{i}"].copy()
-            adam.v[name] = data[f"v{i}"].copy()
-            if best is not None:
-                best[name] = data[f"b{i}"].copy()
+        vectors = {key: data[key] for key in ("params", "m", "v", "best") if key in data}
+    names, shapes = meta["param_names"], meta["shapes"]
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+
+    def unflatten(key):
+        if key not in vectors:
+            return None
+        parts = np.split(vectors[key], ends)
+        return {n: p.reshape(shape) for n, p, shape in zip(names, parts, shapes)}
+
     return Checkpoint(
         fingerprint=meta["fingerprint"],
         epoch=meta["epoch"],
-        params=params,
-        adam=adam,
+        params=unflatten("params"),
+        adam=AdamState(unflatten("m"), unflatten("v"), meta["steps"]),
         rng_state=meta["rng"],
         best_val=meta["best_val"],
         best_epoch=meta["best_epoch"],
-        best_params=best,
+        best_params=unflatten("best"),
         history=meta["history"],
     )
 
@@ -485,6 +474,8 @@ def fit(
                 total += loss.item() * len(batch)
                 seen += len(batch)
             val_loss = total / seen
+            if not math.isfinite(val_loss):
+                raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
             if best_val is None or val_loss < best_val:
                 best_val = val_loss
                 best_epoch = epoch

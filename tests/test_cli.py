@@ -1,10 +1,13 @@
 """End-to-end runs of every subcommand through main(), plus exit codes."""
 import csv
+import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
+from loadcast import cli
 from loadcast.cli import (
     EXIT_DATA,
     EXIT_FINGERPRINT,
@@ -64,6 +67,16 @@ def read_csv_rows(path):
         return list(csv.reader(fh))
 
 
+def config_with(config, path, **values):
+    """Copy of ``config`` at ``path`` with top-level keys set to ``values``."""
+    lines = [
+        line for line in config.read_text().splitlines()
+        if line.split(":")[0] not in values
+    ]
+    path.write_text("\n".join(lines + [f"{k}: {v}" for k, v in values.items()]) + "\n")
+    return path
+
+
 class TestSynth:
     def test_writes_dataset_and_region(self, tmp_path):
         out = tmp_path / "d"
@@ -113,6 +126,24 @@ class TestConfigLoading:
         bad.write_text(section + "\n")
         assert main(["train", "--config", str(bad)]) == EXIT_USAGE
         assert "error: bad " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("evaluate", "stride", 0),
+            ("evaluate", "max_lag", 0),
+            ("evaluate", "noise_seed", -1),
+            ("explain", "explain_hours", 0),
+            ("ingest", "holiday_cardinality", 0),
+        ],
+    )
+    def test_top_level_value_out_of_range_is_usage(
+        self, workspace, tmp_path, capsys, command, key, value
+    ):
+        _, config = workspace
+        bad = config_with(config, tmp_path / "bad.yaml", **{key: value})
+        assert main([command, "--config", str(bad)]) == EXIT_USAGE
+        assert f"error: {key} must be an integer >= " in capsys.readouterr().err
 
 
 class TestIngest:
@@ -366,3 +397,176 @@ class TestSeedOverride:
             ["evaluate", "--config", str(config), "--seed", "9"]
         )
         assert code == EXIT_FINGERPRINT
+
+
+def outputs(run_dir):
+    """Every file a command wrote under ``run_dir``, minus the frame cache."""
+    return {
+        str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*"))
+        if p.is_file() and not p.name.startswith("frame-")
+    }
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Counter of the CSV parses the CLI makes."""
+    calls = []
+    real = cli.load_csv
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", counted)
+    return calls
+
+
+class TestFrameCache:
+    @pytest.fixture
+    def inputs(self, workspace, tmp_path):
+        """Own copies of the dataset and region, a config on them, and a run
+        directory that holds only the workspace's checkpoint."""
+        ws, config = workspace
+        for name in ("dataset.csv", "region.yaml"):
+            shutil.copy(ws / "data" / name, tmp_path / name)
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(ws / "run" / "checkpoint.npz", run / "checkpoint.npz")
+        moved = config_with(
+            config, tmp_path / "config.yaml", dataset=tmp_path / "dataset.csv",
+            region=tmp_path / "region.yaml", out=run,
+        )
+        return tmp_path, moved, run
+
+    @staticmethod
+    def caches(run):
+        return sorted(p.name for p in run.iterdir() if p.name.startswith("frame-"))
+
+    @pytest.mark.parametrize("command", ["ingest", "forecast", "evaluate", "explain", "cv"])
+    def test_cold_and_warm_outputs_byte_identical(self, inputs, parses, command):
+        _, config, run = inputs
+        assert self.caches(run) == []
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        cold = outputs(run)
+        assert len(parses) == 1 and len(self.caches(run)) == 1
+        for name in cold:
+            if name != "checkpoint.npz":
+                (run / name).unlink()
+        assert main([command, "--config", str(config)]) == EXIT_OK
+        assert len(parses) == 1  # the warm run read the cache
+        warm = outputs(run)
+        assert len(cold) > 1 and cold.keys() == warm.keys()
+        assert [name for name in cold if cold[name] != warm[name]] == []
+
+    @pytest.mark.parametrize("edit", ["csv cell", "region", "holiday_cardinality"])
+    def test_edited_input_is_parsed_again(self, inputs, parses, edit):
+        root, config, run = inputs
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        before = (run / "ingested.csv").read_bytes()
+        assert len(parses) == 1
+        if edit == "csv cell":
+            dataset = root / "dataset.csv"
+            lines = dataset.read_text().splitlines()
+            cells = lines[5].split(",")
+            cells[2] = "12.5"  # temperature
+            lines[5] = ",".join(cells)
+            dataset.write_text("\n".join(lines) + "\n")
+        elif edit == "region":
+            region = root / "region.yaml"
+            region.write_text(region.read_text().replace("'2018-01-01': 1", "'2018-01-02': 1"))
+        else:
+            config_with(config, config, holiday_cardinality=6)
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert len(parses) == 2
+        assert len(self.caches(run)) == 2
+        after = (run / "ingested.csv").read_bytes()
+        assert (after == before) == (edit == "holiday_cardinality")
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        assert len(parses) == 2
+
+    @pytest.mark.parametrize("damage", ["truncated", "foreign keys", "another frame"])
+    def test_unreadable_cache_falls_back_to_a_parse(self, inputs, parses, damage):
+        root, config, run = inputs
+        assert main(["forecast", "--config", str(config)]) == EXIT_OK
+        expected = outputs(run)
+        [name] = self.caches(run)
+        cache = run / name
+        if damage == "truncated":
+            cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
+        elif damage == "foreign keys":
+            np.savez(cache, values=np.zeros((3, 3)))
+        else:  # a well-formed cache of a shorter dataset under this name
+            short = root / "short.csv"
+            lines = (root / "dataset.csv").read_text().splitlines()
+            short.write_text("\n".join(lines[:-24]) + "\n")
+            other = root / "other"
+            other.mkdir()
+            short_config = config_with(config, root / "short.yaml", dataset=short, out=other)
+            assert main(["ingest", "--config", str(short_config)]) == EXIT_OK
+            [foreign] = self.caches(other)
+            shutil.copy(other / foreign, cache)
+        parsed = len(parses) + 1
+        assert main(["forecast", "--config", str(config)]) == EXIT_OK
+        assert len(parses) == parsed
+        assert outputs(run) == expected
+        assert self.caches(run) == [name]
+        assert main(["forecast", "--config", str(config)]) == EXIT_OK
+        assert len(parses) == parsed  # the fallback rewrote the cache whole
+
+    def test_faulty_csv_in_a_warm_run_dir(self, inputs, capsys):
+        root, config, run = inputs
+        assert main(["ingest", "--config", str(config)]) == EXIT_OK
+        lines = (root / "dataset.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = "windy"  # wind_speed
+        lines[3] = ",".join(cells)
+        bad = root / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cold_run = root / "cold"
+        cold_run.mkdir()
+        messages = []
+        for out in (cold_run, run):
+            moved = config_with(config, root / "bad.yaml", dataset=bad, out=out)
+            capsys.readouterr()
+            assert main(["ingest", "--config", str(moved)]) == EXIT_DATA
+            messages.append(capsys.readouterr().err)
+        assert "feature 'wind_speed' at " in messages[0]
+        assert messages[0] == messages[1]
+        assert sorted(p.name for p in cold_run.iterdir()) == []
+        assert len(self.caches(run)) == 1
+
+    def test_unwritable_cache_still_runs_the_command(self, inputs, parses, monkeypatch):
+        _, config, run = inputs
+
+        def refuse(path, arrays):
+            raise PermissionError(f"read-only: {path}")
+
+        monkeypatch.setattr(cli, "write_npz", refuse)
+        assert main(["forecast", "--config", str(config)]) == EXIT_OK
+        assert main(["forecast", "--config", str(config)]) == EXIT_OK
+        assert len(parses) == 2
+        assert self.caches(run) == []
+        assert (run / "forecast.csv").exists()
+
+
+class TestCheckpointVersion:
+    def test_version_one_checkpoint_is_a_fingerprint_error(self, workspace, tmp_path, capsys):
+        ws, config = workspace
+        with np.load(ws / "run" / "checkpoint.npz") as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            vectors = {key: data[key] for key in ("params", "m", "v", "best") if key in data}
+        # the version-1 layout: one zip member per array and store
+        names, shapes = meta.pop("param_names"), meta.pop("shapes")
+        old_meta = dict(meta, version=1, has_best="best" in vectors, param_names=names)
+        arrays = {"meta": np.frombuffer(json.dumps(old_meta).encode(), dtype=np.uint8)}
+        ends = np.cumsum([int(np.prod(s)) for s in shapes])[:-1]
+        for key, letter in (("params", "p"), ("m", "m"), ("v", "v"), ("best", "b")):
+            if key in vectors:
+                for i, part in enumerate(np.split(vectors[key], ends)):
+                    arrays[f"{letter}{i}"] = part.reshape(shapes[i])
+        run = tmp_path / "run"
+        run.mkdir()
+        np.savez(run / "checkpoint.npz", **arrays)
+        assert main(["evaluate", "--config", str(config), "--out", str(run)]) == EXIT_FINGERPRINT
+        assert "checkpoint version 1, expected 2" in capsys.readouterr().err

@@ -374,6 +374,25 @@ class TestTrainLoop:
                 small_train_config(), SMALL_LAGS, scaler, "fp",
             )
 
+    def test_non_finite_validation_loss_reported_with_epoch(self):
+        frame = small_frame(n=400, seed=5)
+        scaler = fit_scaler(frame, (0, 280))
+        scaled = apply_scaler(frame, scaler)
+        values = np.array(scaled.values)
+        values[350, 1] = 1e300  # a temperature that only validation anchors read
+        scaled = scaled.with_values(values)
+        model = Model.build(small_model_config(), frame.specs, RngStream(0).split(0), scaler)
+        anchors = train_anchors(frame, SMALL_LAGS, 3, 0, 280)
+        val = eval_anchors(frame, SMALL_LAGS, 3, 280, 400)
+        # the overflow to NaN is the point here, so numpy need not warn of it
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            DivergenceError, match="non-finite validation loss at epoch 0"
+        ):
+            fit(
+                scaled, frame.column("load"), model, anchors, val,
+                small_train_config(), SMALL_LAGS, scaler, "fp",
+            )
+
 
 class TestCheckpoints:
     def test_round_trip_and_resume_bitwise(self, tmp_path):
@@ -422,6 +441,26 @@ class TestCheckpoints:
         assert loaded.fingerprint == result.fingerprint
         for name in result.final_params:
             np.testing.assert_array_equal(loaded.params[name], result.final_params[name])
+
+    def test_stored_as_four_vectors(self, tmp_path):
+        frame = small_frame(n=400, seed=8)
+        ck = tmp_path / "a.npz"
+        result = train(frame, small_model_config(), small_train_config(epochs=2),
+                       lag_set=SMALL_LAGS, checkpoint_path=str(ck))
+        with np.load(ck) as data:
+            assert sorted(data.files) == ["best", "m", "meta", "params", "v"]
+            vectors = {key: data[key] for key in ("params", "m", "v", "best")}
+        n = result.model.n_params()
+        assert {key: vec.shape for key, vec in vectors.items()} == {
+            key: (n,) for key in vectors
+        }
+        loaded = load_checkpoint(str(ck))
+        names = [name for name, _ in result.model.parameters()]
+        flat = np.concatenate([np.ravel(loaded.params[name]) for name in names])
+        np.testing.assert_array_equal(flat, vectors["params"])
+        for name, p in result.model.parameters():  # the model holds the best params
+            np.testing.assert_array_equal(loaded.best_params[name], p.values)
+            assert loaded.adam.m[name].shape == loaded.adam.v[name].shape == p.values.shape
 
 
 class TestCvGeometry:
