@@ -289,26 +289,10 @@ def layer_norm_rows(x, gain, bias) -> Mat:
     return out
 
 
-def dropout(x, p: float, rng: "RngStream", rescale: bool = True) -> Mat:
-    """Zero entries with probability ``p``.
-
-    With ``rescale`` the kept entries are multiplied by ``1/(1-p)`` (inverted
-    dropout).  View-ablation masks in the model use ``rescale=False`` so that
-    a kept embedding passes through untouched.
-    """
-    x = as_mat(x)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
-    return mul(x, Mat(dropout_factor(x.values.shape, p, rng, rescale)))
-
-
-def dropout_factor(shape, p: float, rng: "RngStream", rescale: bool = True) -> np.ndarray:
-    """The multiplier ``dropout`` applies: one draw from ``rng``, 0 where
-    dropped, 1 (or ``1/(1-p)`` with ``rescale``) where kept."""
-    keep = rng.draw().random(shape) >= p
-    return keep / (1.0 - p) if rescale else keep.astype(np.float64)
+def dropout_factor(shape, p: float, rng: "RngStream") -> np.ndarray:
+    """An inverted-dropout multiplier from one draw of ``rng``: 0 where an
+    entry is dropped (probability ``p``), ``1/(1-p)`` where it is kept."""
+    return (rng.draw().random(shape) >= p) / (1.0 - p)
 
 
 def embedding_lookup(table, indices) -> Mat:

@@ -256,9 +256,7 @@ def _restore_model(cfg: RunConfig, frame, lag_set: LagSet):
     model = Model.build(
         cfg.model, frame.specs, RngStream(cfg.train.seed).split(0), scaler
     )
-    source = ckpt.best_params if ckpt.best_params is not None else ckpt.params
-    for name, p in model.parameters():
-        p.values[...] = source[name]
+    model.theta[...] = ckpt.best_params if ckpt.best_params is not None else ckpt.params
     return model, scaler, split, fingerprint
 
 

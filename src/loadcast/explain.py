@@ -181,10 +181,6 @@ class EmbeddingDump:
     def to_dict(self) -> dict:
         return {"method": self.method, "views": self.views, "gates": self.gates}
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "EmbeddingDump":
-        return cls(method=doc["method"], views=doc["views"], gates=doc["gates"])
-
 
 def dump_embeddings(model: Model) -> EmbeddingDump:
     """Cells ordered lowest category (or lowest bin) first.

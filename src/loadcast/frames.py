@@ -534,15 +534,6 @@ def apply_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
     return frame.with_values(values)
 
 
-def invert_scaler(frame: TimeSeriesFrame, scaler: Scaler) -> TimeSeriesFrame:
-    values = frame.values.copy()
-    for j, spec in enumerate(frame.specs):
-        if spec.name in scaler.stats:
-            s = scaler.stats[spec.name]
-            values[:, j] = values[:, j] * s.std + s.mean
-    return frame.with_values(values)
-
-
 # ---------------------------------------------------------------------------
 # noise protocol
 # ---------------------------------------------------------------------------

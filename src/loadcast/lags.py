@@ -52,11 +52,10 @@ class LagSet:
         return LagSet(kept)
 
 
-def lag_set_for_history(n_rows: int, base: LagSet | None = None) -> "LagSet":
+def lag_set_for_history(n_rows: int) -> "LagSet":
     """Default lag set, capped to a week when the history is too short to
     feed the one-year lag plus a month of anchors."""
-    if base is None:
-        base = LagSet()
+    base = LagSet()
     if n_rows < base.max_lag + SHORT_HISTORY_SLACK:
         return base.capped(SHORT_HISTORY_CAP)
     return base

@@ -157,7 +157,12 @@ def attention(
 
 
 class Model:
-    """Parameter container plus the forward pipeline."""
+    """Parameter container plus the forward pipeline.
+
+    Every parameter value lives in one float64 vector ``theta`` and every
+    gradient in a second one, ``grad``, both in ``params`` order; each named
+    parameter's ``values`` and ``grad`` are reshaped views of its slice.
+    """
 
     def __init__(
         self,
@@ -169,6 +174,14 @@ class Model:
         self.config = config
         self.specs = tuple(specs)
         self.params = params
+        self.theta = np.concatenate([p.values.ravel() for p in params.values()])
+        self.grad = np.zeros_like(self.theta)
+        start = 0
+        for p in params.values():
+            end = start + p.values.size
+            p.values = self.theta[start:end].reshape(p.shape)
+            p.grad = self.grad[start:end].reshape(p.shape)
+            start = end
         self.quantizers = quantizers
         targets = [i for i, s in enumerate(self.specs) if s.role == TARGET]
         if len(targets) != 1:
@@ -269,7 +282,7 @@ class Model:
         return list(self.params.items())
 
     def n_params(self) -> int:
-        return sum(p.values.size for p in self.params.values())
+        return self.theta.size
 
     # ------------------------------------------------------------------
     # forward pipeline

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import zipfile
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -98,47 +99,36 @@ def mse_loss(pred: Mat, y: np.ndarray) -> Mat:
 
 @dataclass
 class AdamState:
-    """First/second moments per parameter plus the shared step counter."""
+    """First and second moments, one entry per parameter scalar in the
+    model's ``theta`` order, plus the shared step counter."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray
+    v: np.ndarray
     steps: int = 0
-
-    @classmethod
-    def for_params(cls, params: list[tuple[str, Mat]]) -> "AdamState":
-        state = cls()
-        for name, p in params:
-            state.m[name] = np.zeros_like(p.values)
-            state.v[name] = np.zeros_like(p.values)
-        return state
 
 
 def adamw_step(
-    params: list[tuple[str, Mat]],
+    theta: np.ndarray,
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     weight_decay: float,
 ) -> None:
-    """One AdamW update from the gradients currently held on the params.
+    """One AdamW update of the parameter vector ``theta`` from ``grad``.
 
     Weight decay is decoupled: the shrink is applied independently of the
     adaptive step, so lr=0 leaves parameters untouched and a zero gradient
     with fresh moments shrinks by exactly (1 - lr*wd).
     """
     state.steps += 1
-    t = state.steps
-    bias1 = 1.0 - ADAM_BETA1 ** t
-    bias2 = 1.0 - ADAM_BETA2 ** t
-    for name, p in params:
-        g = p.grad
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * g * g
-        p.values -= lr * weight_decay * p.values
-        p.values -= lr * (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
+    bias1 = 1.0 - ADAM_BETA1 ** state.steps
+    bias2 = 1.0 - ADAM_BETA2 ** state.steps
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    theta -= lr * weight_decay * theta
+    theta -= lr * (state.m / bias1) / (np.sqrt(state.v / bias2) + ADAM_EPS)
 
 
 def cosine_lr(epoch: int, lr0: float, epochs: int) -> float:
@@ -273,22 +263,25 @@ def config_fingerprint(
 
 @dataclass
 class Checkpoint:
+    """A training run's state; every vector is in the model's ``theta``
+    order, which ``shapes`` spells out as name and shape per parameter."""
+
     fingerprint: str
     epoch: int  # completed epochs
-    params: dict[str, np.ndarray]
+    shapes: dict[str, tuple[int, ...]]
+    params: np.ndarray
     adam: AdamState
     rng_state: dict
     best_val: float | None
     best_epoch: int | None
-    best_params: dict[str, np.ndarray] | None
+    best_params: np.ndarray | None
     history: list[dict]
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write ``ckpt`` as its metadata plus one float64 vector each for the
     parameters, both Adam moments and, when there are any, the best
-    parameters, all in ``param_names`` order."""
-    names = list(ckpt.params)
+    parameters."""
     meta = {
         "version": CHECKPOINT_VERSION,
         "fingerprint": ckpt.fingerprint,
@@ -298,55 +291,54 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "best_val": ckpt.best_val,
         "best_epoch": ckpt.best_epoch,
         "history": ckpt.history,
-        "param_names": names,
-        "shapes": [list(ckpt.params[n].shape) for n in names],
+        "param_names": list(ckpt.shapes),
+        "shapes": [list(shape) for shape in ckpt.shapes.values()],
     }
-    stores = {"params": ckpt.params, "m": ckpt.adam.m, "v": ckpt.adam.v, "best": ckpt.best_params}
-    arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for key, store in stores.items():
-        if store is not None:
-            arrays[key] = np.concatenate([np.ravel(store[n]) for n in names])
+    arrays = {
+        "meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8),
+        "params": ckpt.params,
+        "m": ckpt.adam.m,
+        "v": ckpt.adam.v,
+    }
+    if ckpt.best_params is not None:
+        arrays["best"] = ckpt.best_params
     write_npz(path, arrays)
 
 
 def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode())
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise FingerprintError(
-                f"checkpoint version {meta.get('version')!r}, "
-                f"expected {CHECKPOINT_VERSION}; train the run again"
+    """Read a :func:`save_checkpoint` file; one that is torn, foreign, of
+    another version or of another configuration raises FingerprintError."""
+    try:  # through our own handle: np.load leaks its own when the zip is torn
+        with open(path, "rb") as fh, np.load(fh) as data:
+            meta = json.loads(bytes(data["meta"]).decode())
+            if meta.get("version") != CHECKPOINT_VERSION:
+                raise FingerprintError(
+                    f"checkpoint version {meta.get('version')!r}, "
+                    f"expected {CHECKPOINT_VERSION}; train the run again"
+                )
+            ckpt = Checkpoint(
+                fingerprint=meta["fingerprint"],
+                epoch=meta["epoch"],
+                shapes=dict(zip(meta["param_names"], map(tuple, meta["shapes"]))),
+                params=data["params"],
+                adam=AdamState(data["m"], data["v"], meta["steps"]),
+                rng_state=meta["rng"],
+                best_val=meta["best_val"],
+                best_epoch=meta["best_epoch"],
+                best_params=data["best"] if "best" in data else None,
+                history=meta["history"],
             )
-        if (
-            expected_fingerprint is not None
-            and meta["fingerprint"] != expected_fingerprint
-        ):
-            raise FingerprintError(
-                "checkpoint was produced by a different configuration "
-                f"(stored {meta['fingerprint'][:12]}..., "
-                f"current {expected_fingerprint[:12]}...)"
-            )
-        vectors = {key: data[key] for key in ("params", "m", "v", "best") if key in data}
-    names, shapes = meta["param_names"], meta["shapes"]
-    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
-
-    def unflatten(key):
-        if key not in vectors:
-            return None
-        parts = np.split(vectors[key], ends)
-        return {n: p.reshape(shape) for n, p, shape in zip(names, parts, shapes)}
-
-    return Checkpoint(
-        fingerprint=meta["fingerprint"],
-        epoch=meta["epoch"],
-        params=unflatten("params"),
-        adam=AdamState(unflatten("m"), unflatten("v"), meta["steps"]),
-        rng_state=meta["rng"],
-        best_val=meta["best_val"],
-        best_epoch=meta["best_epoch"],
-        best_params=unflatten("best"),
-        history=meta["history"],
-    )
+    except (zipfile.BadZipFile, EOFError, ValueError, KeyError) as exc:
+        raise FingerprintError(
+            f"checkpoint {path} cannot be read ({exc}); train the run again"
+        ) from exc
+    if expected_fingerprint is not None and ckpt.fingerprint != expected_fingerprint:
+        raise FingerprintError(
+            "checkpoint was produced by a different configuration "
+            f"(stored {ckpt.fingerprint[:12]}..., "
+            f"current {expected_fingerprint[:12]}...)"
+        )
+    return ckpt
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +348,7 @@ def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint
 @dataclass
 class TrainResult:
     model: Model  # carries the best-validation parameters
-    final_params: dict[str, np.ndarray]
+    final_params: np.ndarray  # in the model's theta order
     history: list[dict]
     scaler: Scaler
     lag_set: LagSet
@@ -398,39 +390,27 @@ def fit(
     resume: Checkpoint | None = None,
     dropout_rng: RngStream | None = None,
     log=None,
-) -> tuple[dict[str, np.ndarray], list[dict], int | None, float | None]:
-    """Inner loop over prepared anchors; returns (final params, history,
-    best epoch, best val loss) and leaves the best params on ``model``."""
+) -> tuple[np.ndarray, list[dict], int | None, float | None]:
+    """Inner loop over prepared anchors; returns (final parameter vector,
+    history, best epoch, best val loss) and leaves the best params on
+    ``model``.  A ``resume`` checkpoint is trained on in place."""
     tc = train_config
     horizon = model.config.horizon
     target = scaled.target_name
     load_mean = scaler.stats[target].mean
     load_std = scaler.stats[target].std
-    params = model.parameters()
-
-    if resume is not None:
-        if resume.fingerprint != fingerprint:
-            raise FingerprintError(
-                "resume checkpoint was produced by a different configuration"
-            )
-        for name, p in params:
-            p.values[...] = resume.params[name]
-        adam = resume.adam
-        dropout_rng = RngStream.from_state(resume.rng_state)
-        start_epoch = resume.epoch
-        history = list(resume.history)
-        best_val = resume.best_val
-        best_epoch = resume.best_epoch
-        best_params = resume.best_params
-    else:
-        adam = AdamState.for_params(params)
-        if dropout_rng is None:
-            dropout_rng = RngStream(tc.seed).split(1)
-        start_epoch = 0
-        history = []
-        best_val = None
-        best_epoch = None
-        best_params = None
+    theta = model.theta
+    state = resume  # carried on in place, epoch by epoch, and saved as it stands
+    if state is None:  # a fresh run is a checkpoint at epoch 0
+        shapes = {name: p.shape for name, p in model.params.items()}
+        adam = AdamState(np.zeros_like(theta), np.zeros_like(theta))
+        rng = (dropout_rng or RngStream(tc.seed).split(1)).state()
+        state = Checkpoint(fingerprint, 0, shapes, theta, adam, rng, None, None, None, [])
+    elif state.fingerprint != fingerprint:
+        raise FingerprintError("resume checkpoint was produced by a different configuration")
+    theta[...] = state.params
+    state.params = theta
+    dropout_rng = RngStream.from_state(state.rng_state)
 
     if tc.loss == "mape":
         check_targets(scaled, raw_load, anchors, horizon)
@@ -442,13 +422,13 @@ def fit(
         for i in range(0, len(anchors), tc.batch_size)
     ]
 
-    for epoch in range(start_epoch, tc.epochs):
+    for epoch in range(state.epoch, tc.epochs):
         lr = cosine_lr(epoch, tc.lr0, tc.epochs)
         weighted = 0.0
         count = 0
         for b, batch in enumerate(batches):
             arrays = build_batch(scaled, batch, lag_set, horizon, raw_load)
-            ad.zero_grad([p for _, p in params])
+            model.grad.fill(0.0)
             loss = _batch_loss(
                 model, arrays, tc.loss, load_mean, load_std, dropout_rng
             )
@@ -458,7 +438,7 @@ def fit(
                     f"non-finite training loss at epoch {epoch}, batch {b}"
                 )
             ad.backward(loss)
-            adamw_step(params, adam, lr, tc.weight_decay)
+            adamw_step(theta, model.grad, state.adam, lr, tc.weight_decay)
             weighted += value * len(batch)
             count += len(batch)
         train_loss = weighted / count
@@ -476,39 +456,24 @@ def fit(
             val_loss = total / seen
             if not math.isfinite(val_loss):
                 raise DivergenceError(f"non-finite validation loss at epoch {epoch}")
-            if best_val is None or val_loss < best_val:
-                best_val = val_loss
-                best_epoch = epoch
-                best_params = {n: p.values.copy() for n, p in params}
+            if state.best_val is None or val_loss < state.best_val:
+                state.best_val, state.best_epoch, state.best_params = val_loss, epoch, theta.copy()
 
-        history.append(
+        state.history.append(
             {"epoch": epoch, "lr": lr, "train_loss": train_loss, "val_loss": val_loss}
         )
         if log is not None:
             tail = "" if val_loss is None else f" val {val_loss:.4f}"
             log(f"epoch {epoch:>4} lr {lr:.6f} train {train_loss:.4f}{tail}")
 
+        state.epoch, state.rng_state = epoch + 1, dropout_rng.state()
         if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path,
-                Checkpoint(
-                    fingerprint=fingerprint,
-                    epoch=epoch + 1,
-                    params={n: p.values.copy() for n, p in params},
-                    adam=adam,
-                    rng_state=dropout_rng.state(),
-                    best_val=best_val,
-                    best_epoch=best_epoch,
-                    best_params=best_params,
-                    history=history,
-                ),
-            )
+            save_checkpoint(checkpoint_path, state)
 
-    final = {n: p.values.copy() for n, p in params}
-    if best_params is not None:
-        for name, p in params:
-            p.values[...] = best_params[name]
-    return final, history, best_epoch, best_val
+    final = theta.copy()
+    if state.best_params is not None:
+        theta[...] = state.best_params
+    return final, state.history, state.best_epoch, state.best_val
 
 
 def train(

@@ -185,33 +185,21 @@ class TestPrimitiveGradients:
 
 
 class TestDropout:
-    def test_p_zero_is_identity(self, rng):
-        x = rand_mat(rng, 5, 5)
-        out = ad.dropout(x, 0.0, RngStream(0))
-        assert out is x
-
     def test_expectation_matches_input(self):
-        x = Mat(np.full((4, 4), 2.0))
         p = 0.3
         n = 4000
         acc = np.zeros((4, 4))
         for seed in range(n):
-            acc += ad.dropout(x, p, RngStream(seed)).values
+            acc += 2.0 * ad.dropout_factor((4, 4), p, RngStream(seed))
         acc /= n
         # kept entries are rescaled by 1/(1-p), so the estimator is unbiased;
         # 3 sigma of the per-cell Monte-Carlo error
         sigma = 2.0 * np.sqrt(p / (1 - p)) / np.sqrt(n)
         assert np.all(np.abs(acc - 2.0) < 3.1 * sigma)
 
-    def test_keep_form_skips_rescale(self):
-        x = Mat(np.full((50, 4), 1.0))
-        out = ad.dropout(x, 0.5, RngStream(3), rescale=False)
-        kept = out.values[out.values != 0.0]
-        np.testing.assert_array_equal(kept, 1.0)
-
     def test_mask_zeroes_gradients(self):
         x = Mat(np.ones((6, 4)))
-        out = ad.dropout(x, 0.5, RngStream(11))
+        out = ad.mul(x, Mat(ad.dropout_factor(x.shape, 0.5, RngStream(11))))
         dropped = out.values == 0.0
         assert dropped.any() and not dropped.all()
         ad.backward(ad.mean(out))
@@ -219,10 +207,9 @@ class TestDropout:
         assert np.all(x.grad[~dropped] != 0.0)
 
     def test_same_stream_same_mask(self):
-        x = Mat(np.ones((8, 8)))
-        a = ad.dropout(x, 0.4, RngStream(7, path=(1, 2)))
-        b = ad.dropout(x, 0.4, RngStream(7, path=(1, 2)))
-        np.testing.assert_array_equal(a.values, b.values)
+        a = ad.dropout_factor((8, 8), 0.4, RngStream(7, path=(1, 2)))
+        b = ad.dropout_factor((8, 8), 0.4, RngStream(7, path=(1, 2)))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestRngStream:

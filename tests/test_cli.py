@@ -570,3 +570,36 @@ class TestCheckpointVersion:
         np.savez(run / "checkpoint.npz", **arrays)
         assert main(["evaluate", "--config", str(config), "--out", str(run)]) == EXIT_FINGERPRINT
         assert "checkpoint version 1, expected 2" in capsys.readouterr().err
+
+
+class TestBrokenCheckpoint:
+    """A checkpoint that cannot be read exits 4 and names its path; the file
+    handle is closed, which warnings-as-errors would otherwise report."""
+
+    def evaluate_with(self, workspace, tmp_path, capsys, content):
+        _, config = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "checkpoint.npz").write_bytes(content)
+        code = main(["evaluate", "--config", str(config), "--out", str(run)])
+        err = capsys.readouterr().err
+        assert code == EXIT_FINGERPRINT, err
+        assert f"checkpoint {run / 'checkpoint.npz'} cannot be read" in err
+        assert "train the run again" in err
+
+    def test_torn_zip(self, workspace, tmp_path, capsys):
+        saved = (workspace[0] / "run" / "checkpoint.npz").read_bytes()
+        self.evaluate_with(workspace, tmp_path, capsys, saved[: len(saved) // 2])
+
+    def test_not_a_zip(self, workspace, tmp_path, capsys):
+        self.evaluate_with(workspace, tmp_path, capsys, b"not a checkpoint\n" * 8)
+
+    def test_empty_file(self, workspace, tmp_path, capsys):
+        self.evaluate_with(workspace, tmp_path, capsys, b"")
+
+    def test_zip_without_params(self, workspace, tmp_path, capsys):
+        with np.load(workspace[0] / "run" / "checkpoint.npz") as data:
+            meta = data["meta"]
+        partial = tmp_path / "partial.npz"
+        np.savez(partial, meta=meta)
+        self.evaluate_with(workspace, tmp_path, capsys, partial.read_bytes())

@@ -8,7 +8,6 @@ from loadcast.autodiff import RngStream
 from loadcast.errors import ConfigError
 from loadcast.evaluation import forecast_rollout
 from loadcast.explain import (
-    EmbeddingDump,
     ViewGroup,
     default_groups,
     dump_embeddings,
@@ -233,12 +232,6 @@ class TestDumpEmbeddings:
         assert len(temp["cells"]) == bins
         assert temp["labels"][0].startswith("[")
         assert temp["units"] == "scaled"
-
-    def test_dict_round_trip(self):
-        model, _, _ = built()
-        dump = dump_embeddings(model)
-        again = EmbeddingDump.from_dict(dump.to_dict())
-        assert again == dump
 
 
 class TestJacobiSvd:

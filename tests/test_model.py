@@ -325,6 +325,36 @@ class TestQuantizer:
             Quantizer(lo=1.0, hi=1.0, bins=4)
 
 
+class TestParameterStore:
+    @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
+    def test_named_parameters_are_views_of_the_vectors(self, method):
+        model, _, _, _ = built_model(method)
+        sizes = [p.values.size for _, p in model.parameters()]
+        assert model.theta.shape == model.grad.shape == (sum(sizes),)
+        for name, p in model.parameters():
+            assert np.shares_memory(p.values, model.theta), name
+            assert np.shares_memory(p.grad, model.grad), name
+
+    def test_write_to_theta_shows_in_named_parameters(self):
+        model, _, _, _ = built_model("svd")
+        model.theta[...] = np.arange(model.theta.size)
+        start = 0
+        for name, p in model.parameters():  # slices in parameter order
+            expected = np.arange(start, start + p.values.size).reshape(p.shape)
+            np.testing.assert_array_equal(p.values, expected, err_msg=name)
+            start += p.values.size
+
+    def test_one_backward_fills_the_gradient_vector(self):
+        model, x, _, _ = built_model("additive")
+        assert not model.grad.any()
+        ad.backward(ad.mean(model.forward(x)))
+        assert model.grad.any()
+        flat = np.concatenate([p.grad.ravel() for _, p in model.parameters()])
+        np.testing.assert_array_equal(model.grad, flat)
+        model.grad.fill(0.0)
+        assert not any(p.grad.any() for _, p in model.parameters())
+
+
 class TestParamCount:
     def test_matches_live_enumeration(self):
         frame = small_frame(n=120)

@@ -10,6 +10,9 @@ from loadcast.lags import LagSet, build_batch, valid_timestamps
 from loadcast.model import Model, ModelConfig, forced_keep
 from loadcast.synth import synth_generate
 from loadcast.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     CvSpec,
     SplitSpec,
@@ -113,33 +116,76 @@ class TestCosineSchedule:
 
 
 class TestAdamW:
-    def make_param(self, values):
-        p = Mat(np.asarray(values, dtype=float))
-        return [("p", p)], p
+    @staticmethod
+    def make_param(values):
+        theta = np.asarray(values, dtype=float).ravel()
+        return theta, np.zeros_like(theta), AdamState(np.zeros_like(theta), np.zeros_like(theta))
 
     def test_zero_lr_freezes_parameters(self):
-        params, p = self.make_param([[1.0, -2.0]])
-        p.grad[...] = 5.0
-        state = AdamState.for_params(params)
-        adamw_step(params, state, lr=0.0, weight_decay=0.5)
-        np.testing.assert_array_equal(p.values, [[1.0, -2.0]])
+        theta, grad, state = self.make_param([[1.0, -2.0]])
+        grad[...] = 5.0
+        adamw_step(theta, grad, state, lr=0.0, weight_decay=0.5)
+        np.testing.assert_array_equal(theta, [1.0, -2.0])
 
     def test_decay_is_decoupled_exact_factor(self):
-        params, p = self.make_param([[2.0, -4.0]])
-        state = AdamState.for_params(params)
+        theta, grad, state = self.make_param([[2.0, -4.0]])
         lr, wd = 0.1, 0.01
         for step in range(1, 4):
-            adamw_step(params, state, lr=lr, weight_decay=wd)
-            expected = np.array([[2.0, -4.0]]) * (1 - lr * wd) ** step
-            np.testing.assert_allclose(p.values, expected, rtol=1e-15)
+            adamw_step(theta, grad, state, lr=lr, weight_decay=wd)
+            expected = np.array([2.0, -4.0]) * (1 - lr * wd) ** step
+            np.testing.assert_allclose(theta, expected, rtol=1e-15)
 
     def test_single_step_descends_quadratic(self):
-        params, p = self.make_param([[1.0]])
-        p.grad[...] = 1.0  # gradient of theta^2/2 at theta=1
-        state = AdamState.for_params(params)
-        adamw_step(params, state, lr=0.001, weight_decay=0.0)
+        theta, grad, state = self.make_param([[1.0]])
+        grad[...] = 1.0  # gradient of theta^2/2 at theta=1
+        adamw_step(theta, grad, state, lr=0.001, weight_decay=0.0)
         # bias-corrected first step moves by almost exactly lr
-        assert p.values[0, 0] == pytest.approx(1.0 - 0.001, abs=1e-6)
+        assert theta[0] == pytest.approx(1.0 - 0.001, abs=1e-6)
+
+    @staticmethod
+    def per_array_step(values, grads, m, v, steps, lr, weight_decay):
+        """The update one named array at a time, as a reference."""
+        bias1 = 1.0 - ADAM_BETA1 ** steps
+        bias2 = 1.0 - ADAM_BETA2 ** steps
+        for name, p in values.items():
+            g = grads[name]
+            m[name] *= ADAM_BETA1
+            m[name] += (1.0 - ADAM_BETA1) * g
+            v[name] *= ADAM_BETA2
+            v[name] += (1.0 - ADAM_BETA2) * g * g
+            p -= lr * weight_decay * p
+            p -= lr * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + ADAM_EPS)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_flat_step_matches_per_array_reference_bitwise(self, dropout):
+        frame = small_frame(n=240, seed=1)
+        scaler = fit_scaler(frame, (0, 160))
+        scaled = apply_scaler(frame, scaler)
+        config = ModelConfig(
+            method="svd", heads=1, encoder_layers=1, decoder_layers=2, horizon=3,
+            transformer_dropout=dropout, embedding_dropout=dropout,
+        )
+        model = Model.build(config, frame.specs, RngStream(2).split(0), scaler)
+        batch = build_batch(scaled, np.arange(40, 72), SMALL_LAGS, 3, frame.column("load"))
+        stats = scaler.stats["load"]
+        rng = RngStream(4).split(1) if dropout else None
+        state = AdamState(np.zeros_like(model.theta), np.zeros_like(model.theta))
+        values = {name: p.values.copy() for name, p in model.parameters()}
+        m = {name: np.zeros_like(p) for name, p in values.items()}
+        v = {name: np.zeros_like(p) for name, p in values.items()}
+        names = list(values)
+        for step in range(1, 4):
+            model.grad.fill(0.0)
+            ad.backward(_batch_loss(model, batch, "mape", stats.mean, stats.std, rng))
+            grads = {name: p.grad.copy() for name, p in model.parameters()}
+            assert all(g.any() for g in grads.values())
+            adamw_step(model.theta, model.grad, state, lr=0.01, weight_decay=0.1)
+            self.per_array_step(values, grads, m, v, step, lr=0.01, weight_decay=0.1)
+            assert state.steps == step
+            for name, p in model.parameters():
+                np.testing.assert_array_equal(p.values, values[name], err_msg=name)
+            np.testing.assert_array_equal(state.m, np.concatenate([m[n].ravel() for n in names]))
+            np.testing.assert_array_equal(state.v, np.concatenate([v[n].ravel() for n in names]))
 
 
 class TestSplit:
@@ -321,8 +367,7 @@ class TestTrainLoop:
         frame = small_frame(n=400, seed=4)
         a = train(frame, small_model_config(), small_train_config(), lag_set=SMALL_LAGS)
         b = train(frame, small_model_config(), small_train_config(), lag_set=SMALL_LAGS)
-        for name in a.final_params:
-            np.testing.assert_array_equal(a.final_params[name], b.final_params[name])
+        np.testing.assert_array_equal(a.final_params, b.final_params)
         assert a.history == b.history
 
     def test_seed_changes_trajectory(self):
@@ -416,10 +461,7 @@ class TestCheckpoints:
             frame, mc, tc, lag_set=SMALL_LAGS,
             checkpoint_path=str(part_ck), resume_path=str(part_ck),
         )
-        for name in reference.final_params:
-            np.testing.assert_array_equal(
-                reference.final_params[name], resumed.final_params[name]
-            )
+        np.testing.assert_array_equal(reference.final_params, resumed.final_params)
         assert reference.history == resumed.history
         assert reference.best_epoch == resumed.best_epoch
 
@@ -439,8 +481,7 @@ class TestCheckpoints:
         loaded = load_checkpoint(str(ck))
         assert loaded.epoch == 2
         assert loaded.fingerprint == result.fingerprint
-        for name in result.final_params:
-            np.testing.assert_array_equal(loaded.params[name], result.final_params[name])
+        np.testing.assert_array_equal(loaded.params, result.final_params)
 
     def test_stored_as_four_vectors(self, tmp_path):
         frame = small_frame(n=400, seed=8)
@@ -455,12 +496,12 @@ class TestCheckpoints:
             key: (n,) for key in vectors
         }
         loaded = load_checkpoint(str(ck))
-        names = [name for name, _ in result.model.parameters()]
-        flat = np.concatenate([np.ravel(loaded.params[name]) for name in names])
-        np.testing.assert_array_equal(flat, vectors["params"])
-        for name, p in result.model.parameters():  # the model holds the best params
-            np.testing.assert_array_equal(loaded.best_params[name], p.values)
-            assert loaded.adam.m[name].shape == loaded.adam.v[name].shape == p.values.shape
+        assert list(loaded.shapes.items()) == [(n, p.shape) for n, p in result.model.parameters()]
+        np.testing.assert_array_equal(loaded.params, vectors["params"])
+        np.testing.assert_array_equal(loaded.params, result.final_params)
+        # the model holds the best params
+        np.testing.assert_array_equal(loaded.best_params, result.model.theta)
+        assert loaded.adam.m.shape == loaded.adam.v.shape == result.model.theta.shape
 
 
 class TestCvGeometry:
@@ -546,8 +587,7 @@ class TestAtomicCheckpoint:
         assert ck.read_bytes() == saved
         after = load_checkpoint(str(ck))
         assert after.epoch == before.epoch
-        for name in before.params:
-            np.testing.assert_array_equal(after.params[name], before.params[name])
+        np.testing.assert_array_equal(after.params, before.params)
 
     def test_path_without_suffix_is_kept(self, tmp_path):
         frame = small_frame(n=400, seed=9)
