@@ -21,11 +21,13 @@ LAYER_NORM_EPS = 1e-5
 class Mat:
     """A 2-D value in the computation record.
 
-    Leaves (parameters, constants) have no parents.  ``grad`` always has the
-    same shape as ``values`` and starts at zero.
+    Leaves (parameters, constants) have no parents.  ``grad`` has the same
+    shape as ``values`` and reads as zeros until ``backward`` adds to it.
+    Its buffer is allocated on first read, so a forward pass that nothing
+    differentiates allocates none; assigning ``grad`` rebinds the buffer.
     """
 
-    __slots__ = ("values", "grad", "_parents", "_vjp")
+    __slots__ = ("values", "_grad", "_parents", "_vjp")
 
     def __init__(self, values, _parents: tuple = (), _vjp: Callable | None = None):
         v = np.asarray(values, dtype=np.float64)
@@ -36,9 +38,19 @@ class Mat:
         elif v.ndim != 2:
             raise ValueError(f"Mat requires a 2-D array, got shape {v.shape}")
         self.values = v
-        self.grad = np.zeros_like(v)
+        self._grad = None
         self._parents = _parents
         self._vjp = _vjp
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros_like(self.values)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray) -> None:
+        self._grad = value
 
     @property
     def shape(self) -> tuple[int, int]:

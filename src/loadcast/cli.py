@@ -19,7 +19,6 @@ import sys
 import zipfile
 from dataclasses import dataclass, field, replace
 
-import numpy as np
 import yaml
 
 from .autodiff import RngStream
@@ -57,6 +56,7 @@ from .frames import (
     inject_noise,
     load_csv,
     parse_timestamp,
+    read_npz,
     standard_schema,
     table_cells,
     write_csv,
@@ -214,8 +214,8 @@ def _load_frame(cfg: RunConfig) -> TimeSeriesFrame:
     key = digest.hexdigest()
     cache = os.path.join(cfg.out, f"frame-{key}.npz")
     schema = standard_schema(cfg.holiday_cardinality)
-    try:  # through our own handle: np.load leaks its own when the zip is torn
-        with open(cache, "rb") as fh, np.load(fh) as data:
+    try:
+        with read_npz(cache) as data:
             if str(data["key"]) != key:
                 raise ValueError("a frame of other inputs")
             specs = schema + calendar_specs(int(data["holidays"]))

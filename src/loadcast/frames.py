@@ -446,6 +446,21 @@ def write_npz(path, arrays: dict) -> None:
             os.remove(tmp)
 
 
+def read_npz(path) -> np.lib.npyio.NpzFile:
+    """Open a :func:`write_npz` file, to be used in a ``with`` statement.
+
+    The file is opened through a handle of our own, which the archive
+    closes with itself, and on any failure here: ``np.load`` leaks its
+    handle when a zip is torn.  A file that is not a zip, a plain ``.npy``
+    array included, raises ``zipfile.BadZipFile``."""
+    fh = open(path, "rb")
+    try:
+        return np.lib.npyio.NpzFile(fh, own_fid=True)
+    except BaseException:
+        fh.close()
+        raise
+
+
 def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame as CSV; exact inverse of ``load_csv`` on valid frames."""
     path = Path(path)

@@ -123,7 +123,13 @@ class Quantizer:
 
 @dataclass
 class ModelTrace:
-    """Optional per-forward capture of attention maps (one per head per layer)."""
+    """Optional per-forward capture of attention maps (one per head per layer).
+
+    A map has one row per query row and one column per key row of its
+    block.  Under ``head_reduce: last`` the last decoder layer queries only
+    each block's most recent row, so its maps are ``(blocks, L)``; every
+    other layer's are ``(blocks * L, L)``.
+    """
 
     attention: list[np.ndarray] = field(default_factory=list)
 
@@ -444,6 +450,12 @@ class Model:
         from the previous layer's output.  The residual stream starts at the
         attention output, since the raw input's width differs from the model
         width.  ``drops`` works as in :meth:`encode`.
+
+        Under ``head_reduce: last`` the last layer queries only the row the
+        head reads, each block's last, and returns one row per block.  This
+        is exact: no residual carries that layer's input forward and every
+        later step works row by row.  Its dropout factors are still drawn
+        for every row and then indexed, so the random stream is unchanged.
         """
         raw = np.asarray(raw_input)
         if raw.shape != (h.shape[0], self.n_views):
@@ -453,24 +465,36 @@ class Model:
         p = self.params
         drops = iter(drops or ())
         y = Mat(raw)
-        for i in range(1, self.config.decoder_layers + 1):
-            attn = self._multi_head(f"dec{i}", h, h, y, blocks, trace)
-            attn = self._dropped(attn, next(drops, None))
+        last = self.config.decoder_layers
+        for i in range(1, last + 1):
+            q, attn_drop, ffn_drop = h, next(drops, None), next(drops, None)
+            if i == last and self.config.head_reduce == "last":
+                tail = np.arange(1, blocks + 1) * (h.shape[0] // blocks) - 1
+                q = ad.take_rows(h, tail)
+                attn_drop = None if attn_drop is None else attn_drop[tail]
+                ffn_drop = None if ffn_drop is None else ffn_drop[tail]
+            attn = self._multi_head(f"dec{i}", q, h, y, blocks, trace)
+            attn = self._dropped(attn, attn_drop)
             a = ad.layer_norm_rows(
                 attn, p[f"dec{i}/norm1/gain"], p[f"dec{i}/norm1/bias"]
             )
-            f = self._dropped(self._ffn(f"dec{i}", a), next(drops, None))
+            f = self._dropped(self._ffn(f"dec{i}", a), ffn_drop)
             y = ad.layer_norm_rows(
                 ad.add(a, f), p[f"dec{i}/norm2/gain"], p[f"dec{i}/norm2/bias"]
             )
         return y
 
     def head(self, y: Mat, blocks: int = 1) -> Mat:
-        """Per-row linear map to the horizon, read off one row per block."""
+        """Per-row linear map to the horizon, one forecast row per block.
+
+        Under ``head_reduce: last`` :meth:`decode` already returns one row
+        per block, the most recent lag row, so the head is the affine map
+        alone; under ``mean`` it averages the mapped rows of each block.
+        """
         p = ad.affine(y, self.params["head/w"], self.params["head/b"])
-        rows = p.shape[0] // blocks
         if self.config.head_reduce == "last":
-            return ad.take_rows(p, np.arange(1, blocks + 1) * rows - 1)
+            return p
+        rows = p.shape[0] // blocks
         return Mat(np.kron(np.eye(blocks), np.full((1, rows), 1.0 / rows))) @ p
 
     def forward(

@@ -20,7 +20,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Mat, RngStream
 from .errors import DivergenceError, FingerprintError, FrameTooShortError, IntegrityError
-from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, format_timestamp, write_npz
+from .frames import (
+    Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, format_timestamp, read_npz, write_npz,
+)
 from .lags import LagSet, build_batch, lag_set_for_history, valid_timestamps
 from .model import Mode, Model, ModelConfig
 
@@ -308,8 +310,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path, expected_fingerprint: str | None = None) -> Checkpoint:
     """Read a :func:`save_checkpoint` file; one that is torn, foreign, of
     another version or of another configuration raises FingerprintError."""
-    try:  # through our own handle: np.load leaks its own when the zip is torn
-        with open(path, "rb") as fh, np.load(fh) as data:
+    try:
+        with read_npz(path) as data:
             meta = json.loads(bytes(data["meta"]).decode())
             if meta.get("version") != CHECKPOINT_VERSION:
                 raise FingerprintError(

@@ -46,6 +46,11 @@ class TestScalarRules:
         ad.zero_grad([x])
         assert x.grad[0, 0] == 0.0
 
+    def test_fresh_leaf_grad_reads_zeros(self):
+        x = Mat(np.ones((2, 3)))
+        ad.zero_grad([x])
+        np.testing.assert_array_equal(x.grad, np.zeros((2, 3)))
+
 
 class TestPrimitiveGradients:
     """Every differentiation rule against central differences, 100 seeds."""

@@ -485,7 +485,7 @@ class TestFrameCache:
         assert main(["ingest", "--config", str(config)]) == EXIT_OK
         assert len(parses) == 2
 
-    @pytest.mark.parametrize("damage", ["truncated", "foreign keys", "another frame"])
+    @pytest.mark.parametrize("damage", ["truncated", "foreign keys", "npy array", "another frame"])
     def test_unreadable_cache_falls_back_to_a_parse(self, inputs, parses, damage):
         root, config, run = inputs
         assert main(["forecast", "--config", str(config)]) == EXIT_OK
@@ -496,6 +496,9 @@ class TestFrameCache:
             cache.write_bytes(cache.read_bytes()[: cache.stat().st_size // 2])
         elif damage == "foreign keys":
             np.savez(cache, values=np.zeros((3, 3)))
+        elif damage == "npy array":  # np.load would return an ndarray, not an archive
+            with open(cache, "wb") as fh:
+                np.save(fh, np.zeros((3, 3)))
         else:  # a well-formed cache of a shorter dataset under this name
             short = root / "short.csv"
             lines = (root / "dataset.csv").read_text().splitlines()
@@ -593,6 +596,11 @@ class TestBrokenCheckpoint:
 
     def test_not_a_zip(self, workspace, tmp_path, capsys):
         self.evaluate_with(workspace, tmp_path, capsys, b"not a checkpoint\n" * 8)
+
+    def test_npy_array(self, workspace, tmp_path, capsys):
+        array = tmp_path / "array.npy"
+        np.save(array, np.zeros((3, 3)))
+        self.evaluate_with(workspace, tmp_path, capsys, array.read_bytes())
 
     def test_empty_file(self, workspace, tmp_path, capsys):
         self.evaluate_with(workspace, tmp_path, capsys, b"")

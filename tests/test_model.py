@@ -305,6 +305,108 @@ class TestDropoutDraws:
         assert rng.counter == 1
 
 
+def all_rows_forward(model, inputs, mode=None, trace=None):
+    """``forward_batch`` as it was before the one-row decoder tail: every
+    decoder layer and the head run on all B*L rows, and ``take_rows`` then
+    keeps each block's last row (or the mean head averages them)."""
+    blocks, rows, _ = inputs.shape
+    flat = inputs.reshape(blocks * rows, -1)
+    cfg, p = model.config, model.params
+    sites = 2 * (cfg.encoder_layers + cfg.decoder_layers)
+    keep, drops = model._draw_masks(mode, blocks, rows, sites)
+    drops = iter(drops)
+    h = model.encode(model._embed(flat, keep), blocks, drops, trace)
+    y = Mat(flat)
+    for i in range(1, cfg.decoder_layers + 1):
+        attn = model._dropped(model._multi_head(f"dec{i}", h, h, y, blocks, trace), next(drops))
+        a = ad.layer_norm_rows(attn, p[f"dec{i}/norm1/gain"], p[f"dec{i}/norm1/bias"])
+        f = model._dropped(model._ffn(f"dec{i}", a), next(drops))
+        y = ad.layer_norm_rows(ad.add(a, f), p[f"dec{i}/norm2/gain"], p[f"dec{i}/norm2/bias"])
+    out = ad.affine(y, p["head/w"], p["head/b"])
+    if cfg.head_reduce == "last":
+        return ad.take_rows(out, np.arange(1, blocks + 1) * rows - 1)
+    return Mat(np.kron(np.eye(blocks), np.full((1, rows), 1.0 / rows))) @ out
+
+
+def stacked_batch(scaled, anchors=(30, 47, 60, 88, 101)):
+    return np.stack([build_input(scaled, a, LAGS).values for a in anchors])
+
+
+class TestDecoderTail:
+    """Under ``head_reduce: last`` the last decoder layer runs only the rows
+    the head reads; forecasts and gradients match the all-rows decoder."""
+
+    MODES = {
+        "eval": lambda model: None,
+        "forced": lambda model: forced_keep(model.specs, ["hour"]),
+        "dropout": lambda model: RngStream(5),
+    }
+
+    @staticmethod
+    def values_and_grads(model, build):
+        model.grad.fill(0.0)
+        out = build()
+        ad.backward(ad.mean(ad.mul(out, out)))
+        return out.values, model.grad.copy()
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
+    def test_matches_all_rows_decoder(self, method, mode):
+        model, _, scaled, _ = built_model(method)
+        assert model.config.transformer_dropout > 0 and model.config.embedding_dropout > 0
+        x = stacked_batch(scaled)
+        got_mode, want_mode = self.MODES[mode](model), self.MODES[mode](model)
+        got, got_grad = self.values_and_grads(model, lambda: model.forward_batch(x, got_mode))
+        want, want_grad = self.values_and_grads(model, lambda: all_rows_forward(model, x, want_mode))
+        assert got.shape == (len(x), model.config.horizon)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_grad, want_grad, rtol=1e-12, atol=1e-12)
+        if mode == "dropout":
+            assert got_mode.counter == want_mode.counter > 0
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_mean_head_is_the_all_rows_decoder_bitwise(self, mode):
+        model, _, scaled, _ = built_model("additive", head_reduce="mean")
+        x = stacked_batch(scaled)
+        got = model.forward_batch(x, self.MODES[mode](model)).values
+        want = all_rows_forward(model, x, self.MODES[mode](model)).values
+        np.testing.assert_array_equal(got, want)
+
+    def test_trace_keeps_one_map_per_head_per_layer(self):
+        model, _, scaled, _ = built_model("additive")  # 1 enc + 2 dec layers, 2 heads
+        x = stacked_batch(scaled)
+        blocks, rows, _ = x.shape
+        got, want = ModelTrace(), ModelTrace()
+        model.forward_batch(x, trace=got)
+        all_rows_forward(model, x, trace=want)
+        assert [w.shape for w in got.attention] == (
+            [(blocks * rows, rows)] * 4 + [(blocks, rows)] * 2
+        )
+        tail = np.arange(1, blocks + 1) * rows - 1
+        for g, w in zip(got.attention, want.attention[:4] + [w[tail] for w in want.attention[4:]]):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+
+
+class TestLazyGrads:
+    def test_eval_forward_allocates_no_grad_buffers(self):
+        model, _, scaled, _ = built_model("additive")
+        out = model.forward_batch(stacked_batch(scaled))
+        params = {id(p) for _, p in model.parameters()}
+        seen, todo = set(), [out]
+        while todo:
+            node = todo.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            todo.extend(node._parents)
+            if id(node) not in params:
+                assert node._grad is None, node
+        assert params < seen  # the walk reached every parameter
+        assert not model.grad.any()
+        ad.backward(ad.mean(out))
+        assert model.grad.any()
+
+
 class TestQuantizer:
     def test_piecewise_constant_within_bin(self):
         q = Quantizer(lo=-2.0, hi=2.0, bins=4)
