@@ -198,11 +198,10 @@ def affine(x, w, b) -> Mat:
 
 def relu(x) -> Mat:
     x = as_mat(x)
-    keep = x.values > 0
-    out = Mat(np.where(keep, x.values, 0.0), (x,))
+    out = Mat(np.maximum(x.values, 0.0), (x,))
 
     def vjp(g):
-        x.grad += g * keep
+        x.grad += g * (x.values > 0)
 
     out._vjp = vjp
     return out

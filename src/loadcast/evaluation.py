@@ -6,9 +6,13 @@ cell of every row past the anchor with that anchor's earlier forecasts, so
 deeper chunks' short lags read forecasts instead of the (unknown) truth.
 The frame itself is never copied or written.  Exogenous and calendar
 columns are taken as known over the forecast window.  Many anchors roll out
-together, with each chunk of all of them as one batched forward.  Reports
-aggregate per-anchor relative error over the full anchor set, the
-holiday-touching subset, and a noise-injected rerun.
+together, with each chunk of all of them as one batched forward; anchors
+may stop at different horizons, and a chunk batches only the anchors that
+still need it.  ``evaluate`` rolls each anchor out once per source, to the
+longest horizon it is scored at, and every shorter horizon reads that
+rollout's first hours.  Reports aggregate per-anchor relative error over
+the full anchor set, the holiday-touching subset, and a noise-injected
+rerun.
 """
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from .frames import (
 )
 from .lags import LagSet, ScaledInput
 from .model import Mode
-from .training import check_targets, mape
+from .training import check_targets
 
 SUBSETS = ("full", "holidays", "noisy")
 DEFAULT_STRIDE = 24
@@ -121,17 +125,22 @@ def _window_faults(
 def _raise_first_fault(
     frame: TimeSeriesFrame,
     anchors: np.ndarray,
-    horizon: int,
+    horizons: np.ndarray,
     tau: int,
     lags: np.ndarray,
 ) -> None:
-    """Raise what a rollout from the first failing anchor raises, if any."""
-    faults = _window_faults(frame, anchors, horizon, tau, lags)[:4]
+    """Raise what a rollout from the first failing anchor raises, if any;
+    ``horizons`` holds each anchor's own horizon."""
+    faults = np.zeros((4, len(anchors)), dtype=bool)
+    for h in np.unique(horizons):
+        at = horizons == h
+        faults[:, at] = _window_faults(frame, anchors[at], int(h), tau, lags)[:4]
     failing = faults.any(axis=0)
     if not failing.any():
         return
     i = int(np.argmax(failing))
     t0 = int(anchors[i])
+    horizon = int(horizons[i])
     fault = int(np.argmax(faults[:, i]))
     if fault == 0:
         raise FrameTooShortError(
@@ -160,37 +169,43 @@ def _raise_first_fault(
 def _rollout(
     scaled: TimeSeriesFrame,
     anchors,
-    horizon: int,
+    horizon,
     lag_set: LagSet,
     scaler: Scaler,
     tau: int,
     predict,
 ) -> np.ndarray:
-    """Forecasts ``(anchors, horizon)`` in original load units.
+    """Forecasts ``(anchors, max horizon)`` in original load units.
 
-    ``predict(c, x)`` maps chunk ``c``'s lag rows ``x`` ``(anchors, L, F)``
-    to scaled forecasts ``(anchors, tau)``.  Lag rows past an anchor read
-    that anchor's earlier forecasts in the target column, never the true
-    future load; their exogenous and calendar values are taken as known.
+    ``horizon`` is one int for every anchor or one per anchor.  Chunk ``c``
+    runs only the anchors whose horizon reaches past ``c * tau``; a row's
+    hours past its own horizon are NaN.  ``predict(c, x)`` maps chunk
+    ``c``'s lag rows ``x`` ``(anchors, L, F)`` to scaled forecasts
+    ``(anchors, tau)``.  Lag rows past an anchor read that anchor's earlier
+    forecasts in the target column, never the true future load; their
+    exogenous and calendar values are taken as known.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if np.any(np.asarray(horizon) < 1):
+        raise ValueError(f"horizon must be >= 1, got {np.min(horizon)}")
     anchors = np.asarray(anchors, dtype=np.int64)
+    horizons = np.broadcast_to(np.asarray(horizon, dtype=np.int64), anchors.shape)
     lags = np.array(lag_set.lags)
-    _raise_first_fault(scaled, anchors, horizon, tau, lags)
+    _raise_first_fault(scaled, anchors, horizons, tau, lags)
+    width = int(np.max(horizon, initial=0))
     if not len(anchors):
-        return np.empty((0, horizon))
+        return np.empty((0, width))
     tcol = scaled.target_index
-    chunks = math.ceil(horizon / tau)
-    out = np.empty((len(anchors), chunks * tau))
+    chunks = math.ceil(width / tau)
+    out = np.full((len(anchors), chunks * tau), np.nan)
     for c in range(chunks):
-        x = scaled.values[anchors[:, None] + c * tau - lags]
+        live = np.flatnonzero(horizons > c * tau)
+        x = scaled.values[anchors[live, None] + c * tau - lags]
         ahead = c * tau - lags  # hours past the anchor of each lag row
         fed = ahead > 0
-        x[:, fed, tcol] = out[:, ahead[fed] - 1]
-        out[:, c * tau : (c + 1) * tau] = predict(c, x)
+        x[:, fed, tcol] = out[live[:, None], ahead[fed] - 1]
+        out[live, c * tau : (c + 1) * tau] = predict(c, x)
     stats = scaler.stats[scaled.target_name]
-    return out[:, :horizon] * stats.std + stats.mean
+    return out[:, :width] * stats.std + stats.mean
 
 
 def forecast_rollout(
@@ -220,13 +235,14 @@ def forecast_rollout_batch(
     model,
     scaled: TimeSeriesFrame,
     anchors,
-    horizon: int,
+    horizon,
     lag_set: LagSet,
     scaler: Scaler,
     mode: Mode = None,
 ) -> np.ndarray:
     """Row ``i`` is ``forecast_rollout`` from ``anchors[i]``; each chunk of
-    every anchor runs as one ``model.forward_batch`` call."""
+    every anchor runs as one ``model.forward_batch`` call.  ``horizon`` is
+    one int or one per anchor, as in :func:`_rollout`."""
     return _rollout(
         scaled,
         anchors,
@@ -296,7 +312,9 @@ def evaluate(
 
     The noisy subset re-runs the full anchor set on a perturbed copy of the
     frame (exogenous continuous cells only), scaled by the same fitted
-    scaler, scored against the clean truth.
+    scaler, scored against the clean truth.  Each anchor rolls out once per
+    source, to the longest horizon whose anchor set holds it; a shorter
+    horizon's cells read the first hours of that rollout.
     """
     if lag_set is None:
         from .lags import lag_set_for_history
@@ -309,13 +327,27 @@ def evaluate(
     spec = HorizonSpec(tuple(horizons))
     spec.validate_chunks(tau)
 
-    scaled = apply_scaler(frame, scaler)
     raw_load = frame.values[:, frame.target_index]
     holiday_col = _holiday_column(frame)
+    anchor_sets = {
+        h: evaluation_anchors(frame, rng, h, tau, lag_set, stride)
+        for h in spec.horizons
+    }
+    for horizon, anchors in anchor_sets.items():
+        check_targets(frame, raw_load, anchors, horizon)
 
-    noisy_scaled = None
+    # one rollout per anchor and source, as long as its longest horizon
+    base = np.unique(np.concatenate(list(anchor_sets.values())))
+    reach = np.max(
+        [np.where(np.isin(base, a), h, 0) for h, a in anchor_sets.items()], axis=0
+    )
+    sources = {"full": apply_scaler(frame, scaler)}
     if "noisy" in subsets:
-        noisy_scaled = apply_scaler(inject_noise(frame, 0.5, noise_seed), scaler)
+        sources["noisy"] = apply_scaler(inject_noise(frame, 0.5, noise_seed), scaler)
+    preds = {
+        name: forecast_rollout_batch(model, source, base, reach, lag_set, scaler)
+        for name, source in sources.items()
+    }
 
     n_params_fn = getattr(model, "n_params", None)
     total_params = int(n_params_fn()) if callable(n_params_fn) else 0
@@ -325,17 +357,17 @@ def evaluate(
         param_counts={"total": total_params},
     )
 
-    for horizon in spec.horizons:
-        anchors = evaluation_anchors(frame, rng, horizon, tau, lag_set, stride)
+    for horizon, anchors in anchor_sets.items():
         window = anchors[:, None] + np.arange(1, horizon + 1)
         truth = raw_load[window]
-        check_targets(frame, raw_load, anchors, horizon)
+        rows = np.searchsorted(base, anchors)
 
-        def scores(source: TimeSeriesFrame) -> np.ndarray:
-            preds = forecast_rollout_batch(
-                model, source, anchors, horizon, lag_set, scaler
-            )
-            return np.array([mape(t, p) for t, p in zip(truth, preds)])
+        def scores(source: str) -> np.ndarray:
+            # per-anchor MAPE; check_targets has rejected near-zero truths
+            if not len(anchors):
+                return np.empty(0)
+            rel = np.abs(truth - preds[source][rows, :horizon]) / np.abs(truth)
+            return 100.0 * np.mean(rel, axis=1)
 
         def put(subset: str, values: np.ndarray) -> None:
             if len(values):
@@ -346,7 +378,7 @@ def evaluate(
             else:
                 report.cells[(horizon, subset)] = {"mape": None, "anchors": 0}
 
-        full = scores(scaled)
+        full = scores("full")
         if "full" in subsets:
             put("full", full)
         if "holidays" in subsets:
@@ -355,7 +387,7 @@ def evaluate(
             else:
                 put("holidays", full[(holiday_col[window] != 0).any(axis=1)])
         if "noisy" in subsets:
-            put("noisy", scores(noisy_scaled))
+            put("noisy", scores("noisy"))
     return report
 
 

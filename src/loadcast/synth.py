@@ -9,7 +9,6 @@ temperatures can correct for weather the naive forecast cannot see.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import ConfigError
 from .calendars import CalendarConfig
@@ -52,9 +51,14 @@ def synth_region(first_year: int, last_year: int) -> CalendarConfig:
 
 
 def _ar1(rng: np.random.Generator, n: int, phi: float, sigma: float) -> np.ndarray:
+    """AR(1) noise ``x[t] = phi * x[t-1] + eps[t]`` after a burn-in."""
     eps = rng.normal(0.0, sigma, size=n + _BURN_IN_HOURS)
-    series = lfilter([1.0], [1.0, -phi], eps)
-    return series[_BURN_IN_HOURS:]
+    series = []
+    acc = 0.0
+    for e in eps.tolist():
+        acc = e + phi * acc
+        series.append(acc)
+    return np.array(series[_BURN_IN_HOURS:])
 
 
 def synth_generate(days: int, seed: int, noise_scale: float = 1.0) -> TimeSeriesFrame:

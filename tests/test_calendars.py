@@ -1,4 +1,6 @@
 """Calendar view derivation, region tables, synthetic generator."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,27 @@ class TestSynthGenerate:
     def test_too_few_days(self):
         with pytest.raises(ConfigError):
             synth_generate(days=13, seed=0)
+
+    # SHA-256 of the float64 values and the missing mask, as generated when
+    # the AR(1) weather noise came from scipy.signal.lfilter
+    @pytest.mark.parametrize(
+        "days, seed, noise_scale, values, missing",
+        [
+            (730, 1, 1.0, "5732bc3f45ba44b06be5b4a9129ab9337d271590ef93959cb650ba57752bf7a7",
+             "2e4c7ce4fec9c36bd425dd5ce48b51d22d12d20c827061e514c162fbb61c2dcb"),
+            (365, 7, 1.0, "54720c4f6ecc8c4caa9fc42fbbc85c72045bfcd8151e50fc7c9311ff6055835c",
+             "552174f2b8c10e2690611955d8f47cb536cc985d4b9e562e8cd03bf083bcd137"),
+            (30, 0, 1.0, "762c28a8839df8a0b5cc60731718f7be15768dba6976cd2f5c71748b061ab151",
+             "32ead73abab870ab0c7ba67a2337215e63ae49394d3c22dbf133e7ce1c7a2a0a"),
+            (30, 0, 0.5, "3ab459197fa9888c4c2a715eda0525c1899fa0d4fb8e631246f9795baaaf8c42",
+             "32ead73abab870ab0c7ba67a2337215e63ae49394d3c22dbf133e7ce1c7a2a0a"),
+        ],
+    )
+    def test_pinned_digests(self, days, seed, noise_scale, values, missing):
+        frame = synth_generate(days=days, seed=seed, noise_scale=noise_scale)
+        assert frame.values.dtype == np.float64
+        assert hashlib.sha256(frame.values.tobytes()).hexdigest() == values
+        assert hashlib.sha256(frame.missing.tobytes()).hexdigest() == missing
 
     def test_zero_noise_matches_closed_form(self):
         frame = synth_generate(days=21, seed=8, noise_scale=0.0)

@@ -3,6 +3,8 @@ import csv
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -611,3 +613,17 @@ class TestBrokenCheckpoint:
         partial = tmp_path / "partial.npz"
         np.savez(partial, meta=meta)
         self.evaluate_with(workspace, tmp_path, capsys, partial.read_bytes())
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_out(self):
+        # every command imports the CLI module, so scipy there is start-up
+        # time that every shell call pays
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        probe = "import sys, loadcast.cli; print('scipy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -56,6 +56,22 @@ class StubModel:
         return 0
 
 
+class CountingModel:
+    """Wraps a model and records the row count of every ``forward_batch``."""
+
+    def __init__(self, model):
+        self.model = model
+        self.config = model.config
+        self.rows = []
+
+    def forward_batch(self, inputs, directive=None):
+        self.rows.append(len(inputs))
+        return self.model.forward_batch(inputs, directive)
+
+    def n_params(self):
+        return self.model.n_params()
+
+
 def frame_with_holiday(n=600, holiday_rows=(), seed=0):
     rng = np.random.default_rng(seed)
     specs = (
@@ -374,6 +390,67 @@ class TestBatchedRollout:
             forecast_rollout_batch(model, scaled, anchors, 6, LAGS, scaler)
         assert str(batch.value) == str(single.value)
 
+    @pytest.mark.parametrize("method", ["additive", "concatenative", "svd"])
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_ragged_rows_equal_own_horizon_rollouts(self, method, masked):
+        model, scaled, scaler = self.built(method)
+        kw = {"mode": forced_keep(model.specs, ("hour",))} if masked else {}
+        horizons = np.array([6, 42, 15, 12, 6])
+        batch = forecast_rollout_batch(
+            model, scaled, self.ANCHORS, horizons, LAGS, scaler, **kw
+        )
+        assert batch.shape == (len(self.ANCHORS), 42)
+        for row, t0, h in zip(batch, self.ANCHORS, horizons):
+            single = forecast_rollout(model, scaled, int(t0), int(h), LAGS, scaler, **kw)
+            np.testing.assert_allclose(row[:h], single, rtol=1e-12, atol=0)
+            chunked = -(-h // 6) * 6  # the hours its chunks cover
+            assert np.isfinite(row[:chunked]).all() and np.isnan(row[chunked:]).all()
+
+    def test_ragged_fault_names_the_anchors_own_horizon(self):
+        model, scaled, scaler = self.built()
+        # 280 + 6 fits the 300-row frame, 280 + 24 does not
+        out = forecast_rollout_batch(model, scaled, [150, 280], [42, 6], LAGS, scaler)
+        assert out.shape == (2, 42)
+        with pytest.raises(FrameTooShortError) as single:
+            forecast_rollout(model, scaled, 280, 24, LAGS, scaler)
+        with pytest.raises(FrameTooShortError) as batch:
+            forecast_rollout_batch(model, scaled, [150, 280], [42, 24], LAGS, scaler)
+        assert str(batch.value) == str(single.value)
+
+    def test_ragged_horizon_must_be_positive(self):
+        model, scaled, scaler = self.built()
+        with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
+            forecast_rollout_batch(model, scaled, [150, 160], [6, 0], LAGS, scaler)
+
+    @pytest.mark.parametrize("method", ["additive", "svd"])
+    def test_evaluate_rolls_each_anchor_once(self, method):
+        frame = frame_with_holiday(600, holiday_rows=range(340, 361))
+        scaler = fit_scaler(frame, (0, 600))
+        model = CountingModel(build_model(method, frame, scaler))
+        report = evaluate(
+            model, frame, scaler, (300, 500), horizons=(6, 18),
+            lag_set=LAGS, stride=12, noise_seed=2,
+        )
+        short = evaluation_anchors(frame, (300, 500), 6, 6, LAGS, 12)
+        long = evaluation_anchors(frame, (300, 500), 18, 6, LAGS, 12)
+        assert set(long) <= set(short) and len(long) < len(short)
+        reach = np.where(np.isin(short, long), 18, 6)
+        per_chunk = [int((reach > c * 6).sum()) for c in range(3)]
+        # chunks 0-2 for the clean frame, then again for the noisy one
+        assert model.rows == per_chunk * 2
+        assert report.cell(18, "noisy")["anchors"] == len(long)
+
+    @pytest.mark.parametrize("method", ["additive", "svd"])
+    def test_horizon_order_does_not_change_cells(self, method):
+        frame = frame_with_holiday(600, holiday_rows=range(340, 361))
+        scaler = fit_scaler(frame, (0, 600))
+        model = build_model(method, frame, scaler)
+        kw = dict(lag_set=LAGS, stride=12, noise_seed=2)
+        ascending = evaluate(model, frame, scaler, (300, 500), horizons=(6, 18), **kw)
+        descending = evaluate(model, frame, scaler, (300, 500), horizons=(18, 6), **kw)
+        assert len(ascending.cells) == 6
+        assert descending.cells == ascending.cells
+
     @pytest.mark.parametrize("method", ["additive", "svd"])
     def test_evaluate_equals_reference_loop(self, method):
         # the holiday ends on anchor 360, whose window it does not touch
@@ -468,6 +545,26 @@ class TestEvaluate:
             lag_set=LAGS, stride=24,
         )
         assert report.cell(6, "holidays") == {"mape": None, "anchors": 0}
+
+    @pytest.mark.parametrize(
+        "rng, horizons, scored",
+        [((300, 500), (6, 240), (6,)), ((300, 305), (6, 12), ())],
+    )
+    def test_horizon_without_anchors_gives_empty_cells(self, rng, horizons, scored):
+        frame = frame_with_holiday(600, holiday_rows=range(340, 364))
+        scaler = fit_scaler(frame, (0, 600))
+        model = self.oracle_model(frame, scaler, 6)
+        report = evaluate(
+            model, frame, scaler, rng, horizons=horizons, lag_set=LAGS, stride=24
+        )
+        for horizon in horizons:
+            for subset in ("full", "noisy"):
+                cell = report.cell(horizon, subset)
+                if horizon in scored:
+                    assert cell["anchors"] > 0
+                    assert cell["mape"] == pytest.approx(0.0, abs=1e-9)
+                else:
+                    assert cell == {"mape": None, "anchors": 0}
 
     def test_noisy_subset_reuses_full_anchor_set(self):
         frame = frame_with_holiday(600, holiday_rows=range(340, 364))
