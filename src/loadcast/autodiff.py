@@ -306,49 +306,68 @@ def dropout_factor(shape, p: float, rng: "RngStream") -> np.ndarray:
     return (rng.draw().random(shape) >= p) / (1.0 - p)
 
 
-def embedding_lookup(table, indices) -> Mat:
-    """Gather rows of ``table`` (card x d) at integer ``indices``."""
-    table = as_mat(table)
-    idx = np.asarray(indices)
-    if idx.ndim == 2 and 1 in idx.shape:
-        idx = idx.ravel()
-    if idx.ndim != 1:
-        raise ValueError(f"embedding indices must be 1-D, got shape {idx.shape}")
-    if not np.issubdtype(idx.dtype, np.integer):
-        rounded = np.rint(idx)
-        if not np.all(rounded == idx):
+def embed(x, views: Sequence[tuple], gates: Sequence[Mat], keep=None, summed=True) -> Mat:
+    """Every view's embedding as one node.
+
+    Column ``i`` of ``x`` (N x F) feeds view ``i``.  ``views[i]`` is
+    ``(table,)`` for a lookup view, whose column holds integer codes into
+    the card x d ``table``, or ``(w, b)`` for an affine view, embedded as
+    ``value * w + b`` with ``w`` and ``b`` of shape ``(1, d)``.  Each view
+    is scaled by its ``(1, 1)`` gate and zeroed where ``keep`` (N x F
+    booleans; ``None`` keeps every view) is False.  The views are then
+    summed in view order, ``(N, d)``, or laid side by side, ``(N, F*d)``.
+    A code that is not integral raises ``ValueError``; one outside its
+    table, ``IndexError``.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n, f = x.shape
+    lookup = [i for i, v in enumerate(views) if len(v) == 1]
+    affine = [i for i, v in enumerate(views) if len(v) == 2]
+    pre = np.empty((f, n, views[0][0].values.shape[1]))  # before gate and mask
+    if lookup:
+        tables = [views[i][0].values for i in lookup]
+        cards = np.array([len(t) for t in tables])
+        codes = np.rint(raw := x[:, lookup].T)
+        if np.any(codes != raw):
             raise ValueError("embedding indices must be integral")
-        idx = rounded.astype(np.int64)
-    card = table.values.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= card):
-        bad = idx[(idx < 0) | (idx >= card)][0]
-        raise IndexError(f"embedding index {bad} outside table of size {card}")
-    out = Mat(table.values[idx], (table,))
+        bad = (codes < 0) | (codes >= cards[:, None])
+        if bad.any():
+            k, j = np.argwhere(bad)[0]
+            raise IndexError(f"embedding index {codes[k, j]:.0f} outside table of size {cards[k]}")
+        codes = codes.astype(np.int64)
+        pre[lookup] = np.concatenate(tables)[codes + (np.cumsum(cards) - cards)[:, None]]
+    if affine:
+        w, b = (np.concatenate([views[i][k].values for i in affine]) for k in (0, 1))
+        pre[affine] = x[:, affine].T[:, :, None] * w[:, None] + b[:, None]
+    factor = np.concatenate([g.values for g in gates])[:, :, None]
+    if keep is not None:
+        keep = np.asarray(keep).T[:, :, None]
+        factor = factor * keep
+    each = pre * factor
+    if summed:  # a running sum, view after view; np.sum may pair terms up
+        value = each[0].copy()
+        for term in each[1:]:
+            value += term
+    else:
+        value = each.transpose(1, 0, 2).reshape(n, -1)
+    out = Mat(value, tuple(p for v in views for p in v) + tuple(gates))
 
     def vjp(g):
-        np.add.at(table.grad, idx, g)
-
-    out._vjp = vjp
-    return out
-
-
-def concat_cols(mats: Sequence) -> Mat:
-    mats = [as_mat(m) for m in mats]
-    if not mats:
-        raise ValueError("concat_cols of an empty list")
-    rows = mats[0].values.shape[0]
-    for m in mats:
-        if m.values.shape[0] != rows:
-            raise ValueError(
-                f"concat_cols row mismatch: {m.values.shape} vs {rows} rows"
-            )
-    out = Mat(np.concatenate([m.values for m in mats], axis=1), tuple(mats))
-    widths = [m.values.shape[1] for m in mats]
-    offsets = np.cumsum([0] + widths)
-
-    def vjp(g):
-        for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
-            m.grad += g[:, lo:hi]
+        grads = g[None] if summed else g.reshape(n, f, -1).transpose(1, 0, 2).copy()
+        moments = grads * pre
+        if keep is not None:
+            moments *= keep
+        # each gate's gradient sums its own view's (N, d) block, rows first,
+        # as _unbroadcast sums a (1, 1) parent's
+        for gate, total in zip(gates, moments.sum(axis=1).sum(axis=1)):
+            gate.grad += total
+        grads = grads * factor
+        for j, i in enumerate(lookup):
+            np.add.at(views[i][0].grad, codes[j], grads[i])
+        for i in affine:  # one matmul per view rounds as ad.affine's does
+            w, b = views[i]
+            w.grad += x[:, i].reshape(-1, 1).T @ grads[i]
+            b.grad += _unbroadcast(grads[i], b.values.shape)
 
     out._vjp = vjp
     return out
@@ -371,30 +390,6 @@ def concat_rows(mats: Sequence) -> Mat:
     def vjp(g):
         for m, lo, hi in zip(mats, offsets[:-1], offsets[1:]):
             m.grad += g[lo:hi, :]
-
-    out._vjp = vjp
-    return out
-
-
-def sum_terms(mats: Sequence) -> Mat:
-    """Elementwise sum of same-shape matrices."""
-    mats = [as_mat(m) for m in mats]
-    if not mats:
-        raise ValueError("sum_terms of an empty list")
-    shape = mats[0].values.shape
-    for m in mats:
-        if m.values.shape != shape:
-            raise ValueError(
-                f"sum_terms shape mismatch: {m.values.shape} vs {shape}"
-            )
-    total = mats[0].values.copy()
-    for m in mats[1:]:
-        total += m.values
-    out = Mat(total, tuple(mats))
-
-    def vjp(g):
-        for m in mats:
-            m.grad += g
 
     out._vjp = vjp
     return out

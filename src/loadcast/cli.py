@@ -30,6 +30,7 @@ from .calendars import (
 )
 from .errors import ConfigError, FingerprintError, LoadcastError, SchemaError
 from .evaluation import (
+    SUBSETS,
     evaluate,
     forecast_rollout,
     write_report_csv,
@@ -116,6 +117,11 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
             continue
         if isinstance(value, bool) or not isinstance(value, int) or value < least:
             raise ConfigError(f"{key} must be an integer >= {least}, got {value!r}")
+    h = cfg.horizons
+    if not (isinstance(h, tuple) and h and all(type(v) is int and v >= 1 for v in h)):
+        raise ConfigError(f"horizons must be a non-empty list of integers >= 1, got {h!r}")
+    if not (isinstance(cfg.subsets, tuple) and all(s in SUBSETS for s in cfg.subsets)):
+        raise ConfigError(f"subsets must be a list drawn from {SUBSETS}, got {cfg.subsets!r}")
     return cfg
 
 
@@ -162,17 +168,17 @@ def load_run_config(path) -> RunConfig:
     ):
         if key in doc and doc[key] is not None:
             setattr(cfg, key, doc[key])
-    if "horizons" in doc and doc["horizons"] is not None:
-        cfg.horizons = tuple(int(h) for h in doc["horizons"])
-    if "subsets" in doc and doc["subsets"] is not None:
-        cfg.subsets = tuple(doc["subsets"])
+    for key in ("horizons", "subsets"):
+        value = doc.get(key)
+        if value is not None:  # _check_ranges rejects anything but a list
+            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
     return _check_ranges(cfg)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
         cfg.train = replace(cfg.train, seed=args.seed)
-    if getattr(args, "method", None) is not None:
+    if getattr(args, "method", None) not in (None, "all"):  # params takes "all"
         d = None if args.method == "svd" else cfg.model.d
         cfg.model = replace(cfg.model, method=args.method, d=d)
     if getattr(args, "horizon", None) is not None:

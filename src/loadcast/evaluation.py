@@ -341,7 +341,9 @@ def evaluate(
     reach = np.max(
         [np.where(np.isin(base, a), h, 0) for h, a in anchor_sets.items()], axis=0
     )
-    sources = {"full": apply_scaler(frame, scaler)}
+    sources = {}
+    if "full" in subsets or "holidays" in subsets:
+        sources["full"] = apply_scaler(frame, scaler)
     if "noisy" in subsets:
         sources["noisy"] = apply_scaler(inject_noise(frame, 0.5, noise_seed), scaler)
     preds = {
@@ -378,14 +380,13 @@ def evaluate(
             else:
                 report.cells[(horizon, subset)] = {"mape": None, "anchors": 0}
 
-        full = scores("full")
         if "full" in subsets:
-            put("full", full)
+            put("full", scores("full"))
         if "holidays" in subsets:
             if holiday_col is None:
                 put("holidays", np.empty(0))
             else:
-                put("holidays", full[(holiday_col[window] != 0).any(axis=1)])
+                put("holidays", scores("full")[(holiday_col[window] != 0).any(axis=1)])
         if "noisy" in subsets:
             put("noisy", scores("noisy"))
     return report

@@ -3,7 +3,8 @@
 Every feature column is a "view".  Each view is embedded on its own
 (lookup for categorical, affine for continuous, quantize-then-lookup under
 the svd method), gated by a learnable scalar, optionally masked out, and
-aggregated into the encoder input.  A small encoder/decoder attention stack
+aggregated into the encoder input, all views in one step
+(:func:`autodiff.embed`).  A small encoder/decoder attention stack
 maps the aggregate to a multi-hour forecast read off the most recent lag
 row.
 """
@@ -193,6 +194,16 @@ class Model:
         if len(targets) != 1:
             raise ConfigError(f"need exactly one target view, got {len(targets)}")
         self.target_view = targets[0]
+        # what ad.embed reads per view: a table, for every view under svd
+        # (continuous ones quantized first), or an affine map
+        svd = config.method == "svd"
+        self._views = tuple(
+            (params[f"embed/{s.name}/table"],) if svd or s.kind == CATEGORICAL
+            else (params[f"embed/{s.name}/w"], params[f"embed/{s.name}/b"])
+            for s in self.specs
+        )
+        self._gates = tuple(params[f"gate/{s.name}"] for s in self.specs)
+        self._binned = [i for i, s in enumerate(self.specs) if svd and s.kind == CONTINUOUS]
 
     # ------------------------------------------------------------------
     # construction
@@ -355,32 +366,14 @@ class Model:
 
     def _embed(self, x: np.ndarray, keep: np.ndarray) -> Mat:
         """Embed stacked lag rows ``x``; ``keep`` is the ``(blocks, F)`` mask."""
-        rows = len(x) // len(keep)
-        pieces: list[Mat] = []
-        for i, spec in enumerate(self.specs):
-            col = x[:, i]
-            if spec.kind == CATEGORICAL:
-                z = ad.embedding_lookup(self.params[f"embed/{spec.name}/table"], col)
-            elif self.config.method == "svd":
-                q = self.quantizers.get(spec.name)
-                if q is None:
-                    raise ConfigError(f"no fitted quantizer for view {spec.name!r}")
-                z = ad.embedding_lookup(
-                    self.params[f"embed/{spec.name}/table"], q.index(col)
-                )
-            else:
-                z = ad.affine(
-                    Mat(col.reshape(-1, 1)),
-                    self.params[f"embed/{spec.name}/w"],
-                    self.params[f"embed/{spec.name}/b"],
-                )
-            z = ad.mul(z, self.params[f"gate/{spec.name}"])
-            if not keep[:, i].all():
-                z = ad.mul(z, Mat(np.repeat(keep[:, i], rows)[:, None]))
-            pieces.append(z)
-        if self.config.method == "additive":
-            return ad.sum_terms(pieces)
-        return ad.concat_cols(pieces)
+        x = x.copy() if self._binned else x
+        for i in self._binned:
+            q = self.quantizers.get(self.specs[i].name)
+            if q is None:
+                raise ConfigError(f"no fitted quantizer for view {self.specs[i].name!r}")
+            x[:, i] = q.index(x[:, i])
+        mask = None if keep.all() else np.repeat(keep, len(x) // len(keep), axis=0)
+        return ad.embed(x, self._views, self._gates, mask, self.config.method == "additive")
 
     def _multi_head(
         self,

@@ -124,33 +124,44 @@ class TestPrimitiveGradients:
 
         self.run_cases(loss, 3, [(4, 6), (1, 6), (1, 6)])
 
-    def test_embedding_lookup(self):
-        idx = np.array([0, 2, 1, 2])
+    # five rows of three views: 0 and 2 affine, 1 a lookup into a 3-row
+    # table whose code 2 repeats; row 1 drops view 0 and row 3 view 2
+    EMBED_X = np.array(
+        [[0.5, 2, -1.0], [1.5, 0, 0.3], [-0.7, 2, 2.0], [0.1, 1, -0.4], [1.1, 2, 0.9]]
+    )
+    EMBED_KEEP = np.array([[1, 1, 1], [0, 1, 1], [1, 1, 1], [1, 1, 0], [1, 1, 1]], dtype=bool)
+    EMBED_SHAPES = [(1, 2), (1, 2), (3, 2), (1, 2), (1, 2), (1, 1), (1, 1), (1, 1)]
 
-        def loss(table, w):
-            return ad.mean(ad.mul(ad.embedding_lookup(table, idx), w))
+    def embed_mixed(self, summed):
+        def loss(w0, b0, table, w2, b2, g0, g1, g2):
+            z = ad.embed(
+                self.EMBED_X, [(w0, b0), (table,), (w2, b2)], [g0, g1, g2], self.EMBED_KEEP, summed
+            )
+            return ad.mean(ad.mul(z, z))
 
-        self.run_cases(loss, 2, [(3, 4), (4, 4)])
+        self.run_cases(loss, 8, self.EMBED_SHAPES)
 
-    def test_concat_cols(self):
-        self.run_cases(
-            lambda a, b: ad.mean(ad.mul(ad.concat_cols([a, b]), ad.concat_cols([a, b]))),
-            2,
-            [(3, 2), (3, 4)],
-        )
+    def test_embed_summed(self):
+        self.embed_mixed(summed=True)
+
+    def test_embed_side_by_side(self):
+        self.embed_mixed(summed=False)
+
+    def test_embed_lookups_only(self):
+        # two one-column tables, as under svd; repeated codes sum their gradients
+        codes = np.array([[0, 3], [2, 3], [0, 1], [0, 0]])
+
+        def loss(t0, t1, g0, g1, w):
+            z = ad.embed(codes, [(t0,), (t1,)], [g0, g1], summed=False)
+            return ad.mean(ad.mul(z, w))
+
+        self.run_cases(loss, 5, [(3, 1), (4, 1), (1, 1), (1, 1), (4, 2)])
 
     def test_concat_rows(self):
         self.run_cases(
             lambda a, b: ad.mean(ad.mul(ad.concat_rows([a, b]), ad.concat_rows([a, b]))),
             2,
             [(2, 4), (3, 4)],
-        )
-
-    def test_sum_terms(self):
-        self.run_cases(
-            lambda a, b, c: ad.mean(ad.mul(ad.sum_terms([a, b, c]), a)),
-            3,
-            [(3, 4), (3, 4), (3, 4)],
         )
 
     def test_take_rows(self):

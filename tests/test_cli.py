@@ -147,6 +147,24 @@ class TestConfigLoading:
         assert main([command, "--config", str(bad)]) == EXIT_USAGE
         assert f"error: {key} must be an integer >= " in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("horizons", "[abc]"),
+            ("horizons", "24"),
+            ("horizons", "[24.5]"),
+            ("horizons", "[]"),
+            ("horizons", "[0]"),
+            ("subsets", "full"),
+            ("subsets", "[full, weekend]"),
+        ],
+    )
+    def test_bad_horizons_or_subsets_is_usage(self, workspace, tmp_path, capsys, key, value):
+        _, config = workspace
+        bad = config_with(config, tmp_path / "bad.yaml", **{key: value})
+        assert main(["evaluate", "--config", str(bad)]) == EXIT_USAGE
+        assert f"error: {key} must be " in capsys.readouterr().err
+
 
 class TestIngest:
     def test_writes_frame_with_calendar_views(self, workspace):
@@ -381,6 +399,12 @@ class TestParams:
         assert out.startswith("svd: total ")
         svd_total = int(out.split("total ")[1].split()[0])
         assert svd_total > 0
+
+    def test_config_without_method_lists_all(self, capsys, workspace):
+        _, config = workspace
+        assert main(["params", "--config", str(config)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert [l.split(":")[0] for l in out.splitlines()] == ["svd", "additive", "concatenative"]
 
     def test_config_changes_counts(self, capsys, workspace):
         _, config = workspace

@@ -440,6 +440,17 @@ class TestBatchedRollout:
         assert model.rows == per_chunk * 2
         assert report.cell(18, "noisy")["anchors"] == len(long)
 
+    @pytest.mark.parametrize("subsets", [("full",), ("noisy",), ("holidays",)])
+    def test_evaluate_rolls_out_only_the_sources_it_scores(self, subsets):
+        frame = frame_with_holiday(600, holiday_rows=range(340, 361))
+        scaler = fit_scaler(frame, (0, 600))
+        model = CountingModel(build_model("additive", frame, scaler))
+        kw = dict(horizons=(6, 18), lag_set=LAGS, stride=12, noise_seed=2)
+        report = evaluate(model, frame, scaler, (300, 500), subsets=subsets, **kw)
+        assert (len(model.rows), sum(model.rows)) == (3, 49)  # one source
+        every = evaluate(model.model, frame, scaler, (300, 500), **kw)
+        assert report.cells == {k: v for k, v in every.cells.items() if k[1] in subsets}
+
     @pytest.mark.parametrize("method", ["additive", "svd"])
     def test_horizon_order_does_not_change_cells(self, method):
         frame = frame_with_holiday(600, holiday_rows=range(340, 361))

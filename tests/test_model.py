@@ -5,9 +5,10 @@ import pytest
 from loadcast import autodiff as ad
 from loadcast.autodiff import Mat, RngStream
 from loadcast.errors import ConfigError
-from loadcast.frames import apply_scaler, fit_scaler
+from loadcast.frames import CONTINUOUS, TimeSeriesFrame, apply_scaler, fit_scaler
 from loadcast.lags import LagSet, build_input
 from loadcast.model import (
+    METHODS,
     Model,
     ModelConfig,
     ModelTrace,
@@ -240,6 +241,112 @@ class TestMaskedGradients:
                 if key in zeroed.params:
                     zeroed.params[key].values[...] = 0.0
         np.testing.assert_array_equal(masked, zeroed.forward(x).values)
+
+
+def op_nodes(out):
+    """Nodes with parents in the graph under ``out``."""
+    seen, todo, ops = set(), [out], 0
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += bool(node._parents)
+            todo.extend(node._parents)
+    return ops
+
+
+def per_view_embedding(model, x, keep):
+    """The embedding as a chain of nodes per view: a lookup or affine map,
+    the gate, the mask where a block drops the view, then a running sum or,
+    for the side-by-side methods, a 0/1 matmul that places the view in its
+    own columns.  Same arithmetic as ``ad.embed``, one step at a time."""
+    rows, d, f = len(x) // len(keep), model.config.embed_dim, model.n_views
+    out = None
+    for i, spec in enumerate(model.specs):
+        prefix = f"embed/{spec.name}/"
+        p = {k[len(prefix):]: v for k, v in model.params.items() if k.startswith(prefix)}
+        if "table" in p:
+            codes = x[:, i]
+            if spec.kind == CONTINUOUS:
+                codes = model.quantizers[spec.name].index(codes)
+            z = ad.take_rows(p["table"], codes.astype(np.int64))
+        else:
+            z = ad.affine(Mat(x[:, i].reshape(-1, 1)), p["w"], p["b"])
+        z = ad.mul(z, model.params[f"gate/{spec.name}"])
+        if not keep[:, i].all():
+            z = ad.mul(z, Mat(np.repeat(keep[:, i], rows)[:, None]))
+        if model.config.method != "additive":
+            place = np.zeros((d, f * d))
+            place[:, i * d : (i + 1) * d] = np.eye(d)
+            z = z @ Mat(place)
+        out = z if out is None else ad.add(out, z)
+    return out
+
+
+class TestEmbedNode:
+    """Every view embeds in one tape node, which keeps the lookup checks."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("train", [False, True])
+    def test_calendar_view_adds_no_op_node(self, method, train):
+        full = small_frame(n=120)
+        plain = TimeSeriesFrame(
+            full.timestamps, full.specs[:2], full.values[:, :2], full.missing[:, :2]
+        )
+        counts = []
+        for frame in (full, plain):
+            scaler = fit_scaler(frame, (0, 120))
+            config = ModelConfig(
+                method=method,
+                d=4 if method != "svd" else None,
+                heads=1,
+                encoder_layers=1,
+                horizon=4,
+                embedding_dropout=0.5,
+            )
+            model = Model.build(config, frame.specs, RngStream(3).split(0), scaler)
+            batch = stacked_batch(apply_scaler(frame, scaler))
+            out = model.forward_batch(batch, RngStream(1) if train else None)
+            counts.append(op_nodes(out))
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("dropped", [False, True])
+    def test_equals_per_view_reference(self, method, dropped):
+        model, _, scaled, _ = built_model(method)
+        model.theta[:] += np.random.default_rng(5).normal(0.0, 0.3, model.theta.size)
+        batch = stacked_batch(scaled)
+        flat = batch.reshape(-1, model.n_views)
+        keep = np.ones((len(batch), model.n_views), dtype=bool)
+        if dropped:
+            keep[[0, 2, 3], [1, 2, 1]] = False
+        results = []
+        for embed in (model._embed, lambda x, k: per_view_embedding(model, x, k)):
+            model.grad.fill(0.0)
+            z = embed(flat, keep)
+            weights = np.random.default_rng(6).normal(size=z.shape)
+            ad.backward(ad.mean(ad.mul(z, Mat(weights))))
+            results.append((z.values, model.grad.copy()))
+        (z, grad), (z_ref, grad_ref) = results
+        np.testing.assert_array_equal(z, z_ref)
+        np.testing.assert_array_equal(grad, grad_ref)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("code", [24, -1])
+    def test_out_of_table_code_raises(self, method, code):
+        model, x, _, _ = built_model(method)
+        values = x.values.copy()
+        values[3, 2] = code  # hour, a 24-row table
+        with pytest.raises(IndexError, match=f"embedding index {code} outside table of size 24"):
+            model.forward(values)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_fractional_code_raises(self, method):
+        model, x, _, _ = built_model(method)
+        values = x.values.copy()
+        values[0, 2] = 3.5
+        with pytest.raises(ValueError, match="embedding indices must be integral"):
+            model.forward(values)
 
 
 class TestEncoderDecoder:
