@@ -18,6 +18,7 @@ import os
 import sys
 import zipfile
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import yaml
 
@@ -122,6 +123,15 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"horizons must be a non-empty list of integers >= 1, got {h!r}")
     if not (isinstance(cfg.subsets, tuple) and all(s in SUBSETS for s in cfg.subsets)):
         raise ConfigError(f"subsets must be a list drawn from {SUBSETS}, got {cfg.subsets!r}")
+    for key in ("dataset", "region", "out"):
+        value = getattr(cfg, key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{key} must be a path, got {value!r}")
+    groups = cfg.explain_groups
+    if groups is not None and not (
+        isinstance(groups, dict) and all(isinstance(m, list) for m in groups.values())
+    ):
+        raise ConfigError(f"explain_groups must map names to lists of views, got {groups!r}")
     return cfg
 
 
@@ -155,29 +165,18 @@ def load_run_config(path) -> RunConfig:
     cv_cfg = _build_section(CvSpec, doc.get("cv") or {}, "cv")
 
     cfg = RunConfig(model=model, train=train_cfg, cv=cv_cfg)
-    for key in (
-        "dataset",
-        "region",
-        "holiday_cardinality",
-        "stride",
-        "noise_seed",
-        "explain_hours",
-        "explain_groups",
-        "max_lag",
-        "out",
-    ):
-        if key in doc and doc[key] is not None:
-            setattr(cfg, key, doc[key])
-    for key in ("horizons", "subsets"):
+    for key in known - {"model", "train", "cv"}:
         value = doc.get(key)
-        if value is not None:  # _check_ranges rejects anything but a list
-            setattr(cfg, key, tuple(value) if isinstance(value, list) else value)
+        if key in ("horizons", "subsets") and isinstance(value, list):
+            value = tuple(value)  # _check_ranges rejects anything but a list
+        if value is not None:
+            setattr(cfg, key, value)
     return _check_ranges(cfg)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if getattr(args, "seed", None) is not None:
-        cfg.train = replace(cfg.train, seed=args.seed)
+        cfg.train = _build_section(partial(replace, cfg.train), {"seed": args.seed}, "train")
     if getattr(args, "method", None) not in (None, "all"):  # params takes "all"
         d = None if args.method == "svd" else cfg.model.d
         cfg.model = replace(cfg.model, method=args.method, d=d)
@@ -408,7 +407,10 @@ def cmd_perturb(cfg: RunConfig | None, args) -> int:
     dataset = _require_file(dataset, "dataset")
     cardinality = cfg.holiday_cardinality if cfg else 16
     frame = load_csv(dataset, standard_schema(cardinality))
-    noisy = inject_noise(frame, args.probability, args.seed)
+    try:
+        noisy = inject_noise(frame, args.probability, args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     write_csv(noisy, args.out_file)
     print(f"perturbed copy -> {args.out_file}")
     return EXIT_OK

@@ -16,7 +16,6 @@ rerun.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .frames import (
     write_json,
     write_table,
 )
-from .lags import LagSet, ScaledInput
+from .lags import LagSet, ScaledInput, _history_reads, window_faults
 from .model import Mode
 from .training import check_targets
 
@@ -75,53 +74,6 @@ class MetricsReport:
         return self.cells.get((horizon, subset))
 
 
-def _history_reads(horizon: int, tau: int, lags: np.ndarray):
-    """Every lag read a rollout takes from the frame itself, i.e. at or
-    before its anchor, chunk by chunk and oldest lag first: the read's
-    offset from the anchor, its chunk and its lag."""
-    chunk = np.repeat(np.arange(math.ceil(horizon / tau)), len(lags))
-    lag = np.tile(lags, len(chunk) // len(lags))
-    offset = tau * chunk - lag
-    past = offset <= 0
-    return offset[past], chunk[past], lag[past]
-
-
-def _exogenous(frame: TimeSeriesFrame) -> np.ndarray:
-    """Column indices of the exogenous and calendar views."""
-    return np.flatnonzero(np.arange(frame.n_features) != frame.target_index)
-
-
-def _window_faults(
-    frame: TimeSeriesFrame,
-    anchors: np.ndarray,
-    horizon: int,
-    tau: int,
-    lags: np.ndarray,
-) -> np.ndarray:
-    """Per-anchor faults of a rollout window, ``(5, anchors)`` masks.
-
-    Rows 0-3 stop a rollout, in the order it checks them: the window runs
-    past the frame; an exogenous or calendar value is missing inside the
-    window; the deepest lag reaches before the frame; a lag row read from
-    history has a gap.  Row 4 only stops scoring: a true load inside the
-    window is missing.  A row's verdict only counts where every earlier
-    row is clear.
-    """
-    n = frame.n_rows
-    offset, _, _ = _history_reads(horizon, tau, lags)
-    window = np.clip(anchors[:, None] + np.arange(1, horizon + 1), 0, n - 1)
-    reads = np.clip(anchors[:, None] + offset, 0, n - 1)
-    return np.stack(
-        [
-            anchors + horizon >= n,
-            frame.missing[window[:, :, None], _exogenous(frame)].any(axis=(1, 2)),
-            anchors - lags[0] < 0,
-            frame.missing[reads].any(axis=(1, 2)),
-            frame.missing[window, frame.target_index].any(axis=1),
-        ]
-    )
-
-
 def _raise_first_fault(
     frame: TimeSeriesFrame,
     anchors: np.ndarray,
@@ -131,14 +83,10 @@ def _raise_first_fault(
 ) -> None:
     """Raise what a rollout from the first failing anchor raises, if any;
     ``horizons`` holds each anchor's own horizon."""
-    faults = np.zeros((4, len(anchors)), dtype=bool)
-    for h in np.unique(horizons):
-        at = horizons == h
-        faults[:, at] = _window_faults(frame, anchors[at], int(h), tau, lags)[:4]
-    failing = faults.any(axis=0)
-    if not failing.any():
+    faults = window_faults(frame, anchors, horizons, lags, tau)[:4]
+    if not faults.any():
         return
-    i = int(np.argmax(failing))
+    i = int(np.argmax(faults.any(axis=0)))
     t0 = int(anchors[i])
     horizon = int(horizons[i])
     fault = int(np.argmax(faults[:, i]))
@@ -148,7 +96,7 @@ def _raise_first_fault(
             f"({frame.n_rows} rows)"
         )
     if fault == 1:
-        window = frame.missing[t0 + 1 : t0 + 1 + horizon][:, _exogenous(frame)]
+        window = np.delete(frame.missing[t0 + 1 : t0 + 1 + horizon], frame.target_index, axis=1)
         ts = frame.timestamps[t0 + 1 + int(np.argmax(window.any(axis=1)))]
         raise CoverageError(
             f"missing exogenous data at {format_timestamp(ts)} "
@@ -158,11 +106,13 @@ def _raise_first_fault(
         raise FrameTooShortError(
             f"anchor {t0} reaches before the frame at lag {int(lags[0])}"
         )
-    offset, chunk, lag = _history_reads(horizon, tau, lags)
-    k = int(np.argmax(frame.missing[t0 + offset].any(axis=1)))
+    offset, chunk, lag = next(
+        read for read in _history_reads(horizon, tau, lags)
+        if frame.missing[t0 + read[0]].any()
+    )
     raise CoverageError(
-        f"missing data at {format_timestamp(frame.timestamps[t0 + offset[k]])} "
-        f"(lag {int(lag[k])} of chunk {int(chunk[k])})"
+        f"missing data at {format_timestamp(frame.timestamps[t0 + offset])} "
+        f"(lag {lag} of chunk {chunk})"
     )
 
 
@@ -195,7 +145,7 @@ def _rollout(
     if not len(anchors):
         return np.empty((0, width))
     tcol = scaled.target_index
-    chunks = math.ceil(width / tau)
+    chunks = -(-width // tau)
     out = np.full((len(anchors), chunks * tau), np.nan)
     for c in range(chunks):
         live = np.flatnonzero(horizons > c * tau)
@@ -285,8 +235,7 @@ def evaluation_anchors(
     start, end = rng
     anchors = np.arange(start, end, stride, dtype=np.int64)
     anchors = anchors[anchors + horizon <= end - 1]
-    faults = _window_faults(frame, anchors, horizon, tau, np.array(lag_set.lags))
-    return anchors[~faults.any(axis=0)]
+    return anchors[~window_faults(frame, anchors, horizon, lag_set.lags, tau).any(axis=0)]
 
 
 def _holiday_column(frame: TimeSeriesFrame) -> np.ndarray | None:

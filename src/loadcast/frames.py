@@ -11,6 +11,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 
@@ -193,6 +194,20 @@ class TimeSeriesFrame:
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.feature_index(name)]
+
+    @cached_property
+    def gap_counts(self) -> np.ndarray:
+        """Running counts of rows with a missing cell, ``(3, T + 1)``: entry
+        ``r`` counts the rows before ``r`` with a gap in any view, in a view
+        other than the target, and in the target."""
+        by_view = np.ascontiguousarray(self.missing.T)  # any() is fastest along rows
+        target = by_view[self.target_index]
+        others = np.delete(by_view, self.target_index, axis=0).any(axis=0)
+        counts = np.zeros((3, self.n_rows + 1), dtype=np.int32)
+        for row, gaps in zip(counts, (target | others, others, target)):
+            np.cumsum(gaps, out=row[1:])
+        counts.flags.writeable = False
+        return counts
 
     # -- derived frames -----------------------------------------------------
 
@@ -564,6 +579,8 @@ def inject_noise(frame: TimeSeriesFrame, probability: float, seed: int) -> TimeS
     """
     if not 0.0 <= probability <= 1.0:
         raise ValueError(f"noise probability must be in [0, 1], got {probability}")
+    if seed < 0:
+        raise ValueError(f"noise seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     values = frame.values.copy()
     for j, spec in enumerate(frame.specs):

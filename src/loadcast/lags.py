@@ -74,6 +74,52 @@ class ScaledInput:
             raise ValueError("one row per lag required")
 
 
+def _history_reads(horizon: int, tau: int, lags) -> list[tuple[int, int, int]]:
+    """Every lag read a rollout takes from the frame itself, i.e. at or
+    before its anchor, chunk by chunk and oldest lag first: the read's
+    offset from the anchor, its chunk and its lag.  A window of at most
+    ``tau`` hours, horizon 0 included, is one chunk."""
+    chunks = range(max(1, -(-horizon // tau)))
+    return [(tau * c - lag, c, lag) for c in chunks for lag in lags if tau * c <= lag]
+
+
+def window_faults(
+    frame: TimeSeriesFrame, anchors, horizon, lags, tau: int | None = None
+) -> np.ndarray:
+    """Per-anchor faults of a forecast window, ``(5, anchors)`` masks.
+
+    ``horizon`` is one int or one per anchor.  Lag rows are read chunk by
+    chunk, ``tau`` hours each (default: one chunk), as a rollout reads them.
+    Rows 0-3 stop a rollout, in the order it checks them: the window runs
+    past the frame; an exogenous or calendar value is missing inside it;
+    the deepest lag reaches before the frame; a lag row read from history
+    has a gap.  Row 4 only stops scoring: a true load inside the window is
+    missing.  A row's verdict only counts where every earlier row is clear.
+    """
+    anchors = np.asarray(anchors, dtype=np.int64)
+    horizons = np.asarray(horizon, dtype=np.int64)
+    n = frame.n_rows
+    width = int(horizons.max(initial=0))
+    tau = max(width, 1) if tau is None else tau
+    any_gap, others_gap, load_gap = frame.gap_counts
+    faults = np.zeros((5, len(anchors)), dtype=bool)
+    faults[0] = (horizons > 0) & (anchors + horizons >= n)
+    faults[2] = anchors - lags[0] < 0
+    # the window is rows first .. stop-1; np.clip costs more per call
+    first = np.minimum(np.maximum(anchors + 1, 0), n)
+    stop = np.minimum(np.maximum(anchors + horizons + 1, 0), n)
+    faults[1] = others_gap[stop] > others_gap[first]
+    faults[4] = load_gap[stop] > load_gap[first]
+    # an anchor before the deepest lag already fails, so its reads may move
+    # into the frame
+    inside = np.maximum(anchors, lags[0])
+    for offset, chunk, _ in _history_reads(width, tau, lags):
+        rows = np.minimum(inside + offset, n - 1)
+        hit = any_gap[rows + 1] > any_gap[rows]
+        faults[3] |= hit & (horizons > chunk * tau) if chunk else hit
+    return faults
+
+
 def valid_timestamps(
     frame: TimeSeriesFrame, lag_set: LagSet, horizon: int
 ) -> np.ndarray:
@@ -94,14 +140,8 @@ def valid_timestamps(
             f"for max lag {low} and horizon {horizon}"
         )
     candidates = np.arange(low, high + 1)
-    row_clean = ~frame.missing.any(axis=1)
-    load_seen = ~frame.missing[:, frame.target_index]
-    keep = np.ones(len(candidates), dtype=bool)
-    for lag in lag_set.lags:
-        keep &= row_clean[candidates - lag]
-    for step in range(1, horizon + 1):
-        keep &= load_seen[candidates + step]
-    anchors = candidates[keep]
+    faults = window_faults(frame, candidates, horizon, lag_set.lags)
+    anchors = candidates[~(faults[3] | faults[4])]
     if len(anchors) == 0:
         raise FrameTooShortError(
             "no usable anchors: every candidate window touches missing data"
@@ -120,15 +160,10 @@ def _gather(
     frame, or reads a row with missing data; an anchor's faults are
     checked in that order.
     """
-    n = frame.n_rows
-    rows = anchors[:, None] - np.array(lag_set.lags)
-    gaps = frame.missing[np.clip(rows, 0, n - 1)].any(axis=2)
-    faults = np.stack(
-        [(horizon > 0) & (anchors + horizon >= n), rows[:, 0] < 0, gaps.any(axis=1)]
-    )
-    failing = faults.any(axis=0)
-    if failing.any():
-        i = int(np.argmax(failing))
+    lags = np.array(lag_set.lags)
+    faults = window_faults(frame, anchors, horizon, lags)[[0, 2, 3]]
+    if faults.any():
+        i = int(np.argmax(faults.any(axis=0)))
         t = int(anchors[i])
         fault = int(np.argmax(faults[:, i]))
         if fault == 0:
@@ -137,9 +172,9 @@ def _gather(
             raise FrameTooShortError(
                 f"anchor {t} reaches before the frame at lag {lag_set.max_lag}"
             )
-        lag = lag_set.lags[int(np.argmax(gaps[i]))]
+        lag = lags[int(np.argmax(frame.missing[t - lags].any(axis=1)))]
         raise FrameTooShortError(f"anchor {t} hits missing data at lag {lag}")
-    return frame.values[rows]
+    return frame.values[anchors[:, None] - lags]
 
 
 def build_input(frame: TimeSeriesFrame, t: int, lag_set: LagSet) -> ScaledInput:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .calendars import CalendarConfig
+from .calendars import CalendarConfig, _calendar_columns
 from .frames import HOUR, TimeSeriesFrame, standard_schema
 
 SYNTH_START = np.datetime64("2018-01-01T00", "h")
@@ -69,15 +69,21 @@ def synth_generate(days: int, seed: int, noise_scale: float = 1.0) -> TimeSeries
     """
     if days < 14:
         raise ConfigError(f"need at least 14 days, got {days}")
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     t = days * 24
     timestamps = SYNTH_START + np.arange(t) * HOUR
 
-    hours = np.arange(t) % 24
     day_index = np.arange(t) // 24
     day_of_year = day_index % 365
     days64 = timestamps.astype("datetime64[D]")
-    weekday = (days64.astype(np.int64) + 3) % 7
+
+    # hour and calendar indicator columns, from the fixed region table
+    year_first = int(str(days64[0])[:4])
+    year_last = int(str(days64[-1])[:4])
+    region = synth_region(year_first, year_last)
+    hours, weekday, _, _, holiday_id, school = _calendar_columns(timestamps, region)
 
     # weather with seasonal + daily structure and persistent noise
     temp = (
@@ -103,18 +109,6 @@ def synth_generate(days: int, seed: int, noise_scale: float = 1.0) -> TimeSeries
     )
     rain_state = noise_scale * _ar1(rng, t, 0.95, 1.0)
     rainfall = np.maximum(0.0, rain_state - 1.2) * 2.0
-
-    # calendar indicator columns, from the fixed region table
-    year_first = int(str(days64[0])[:4])
-    year_last = int(str(days64[-1])[:4])
-    region = synth_region(year_first, year_last)
-    holiday_id = np.zeros(t)
-    for date, hid in region.holidays.items():
-        holiday_id[days64 == np.datetime64(date, "D")] = hid
-    school = np.zeros(t)
-    for start, end in region.school_periods:
-        inside = (days64 >= np.datetime64(start, "D")) & (days64 <= np.datetime64(end, "D"))
-        school[inside] = 1.0
 
     off_day = (weekday >= 5) | (holiday_id > 0)
     weekly = np.where(off_day, WEEKEND_DROP, WEEKDAY_LIFT)

@@ -238,6 +238,8 @@ class TrainConfig:
             raise ValueError(f"loss must be 'mape' or 'mse', got {self.loss!r}")
         if self.val_stride < 1:
             raise ValueError("val_stride must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def config_fingerprint(

@@ -92,6 +92,11 @@ class TestSynth:
         code = main(["synth", "--days", "2", "--out", str(tmp_path / "d")])
         assert code == EXIT_USAGE
 
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        code = main(["synth", "--seed", "-1", "--out", str(tmp_path / "d")])
+        assert code == EXIT_USAGE
+        assert "error: seed must be >= 0" in capsys.readouterr().err
+
 
 class TestConfigLoading:
     def test_unknown_key_rejected(self, tmp_path):
@@ -121,6 +126,7 @@ class TestConfigLoading:
             "train: {split: {test_hours: 0}}",
             "cv: {step_hours: 0}",
             "train: {loss: mae}",
+            "train: {seed: -1}",
         ],
     )
     def test_value_out_of_range_is_usage(self, tmp_path, capsys, section):
@@ -164,6 +170,25 @@ class TestConfigLoading:
         bad = config_with(config, tmp_path / "bad.yaml", **{key: value})
         assert main(["evaluate", "--config", str(bad)]) == EXIT_USAGE
         assert f"error: {key} must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("explain", "explain_groups", "[a, b]"),
+            ("explain", "explain_groups", "5"),
+            ("explain", "explain_groups", "{g: temperature}"),
+            ("ingest", "out", "5"),
+            ("ingest", "region", "[x]"),
+            ("ingest", "dataset", "7"),
+        ],
+    )
+    def test_value_of_wrong_type_is_usage(
+        self, workspace, tmp_path, capsys, command, key, value
+    ):
+        _, config = workspace
+        bad = config_with(config, tmp_path / "bad.yaml", **{key: value})
+        assert main([command, "--config", str(bad)]) == EXIT_USAGE
+        assert f"error: {key} must " in capsys.readouterr().err
 
 
 class TestIngest:
@@ -316,6 +341,25 @@ class TestPerturb:
         same_temp = all(a[temp_col] == b[temp_col] for a, b in zip(clean, noisy))
         assert same_load and not same_temp
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-3", "noise seed must be >= 0"),
+            ("--probability", "2", "noise probability must be in [0, 1]"),
+            ("--probability", "nan", "noise probability must be in [0, 1]"),
+        ],
+    )
+    def test_bad_option_is_usage(self, workspace, tmp_path, capsys, flag, value, message):
+        ws, _ = workspace
+        out = tmp_path / "noisy.csv"
+        code = main(
+            ["perturb", "--data", str(ws / "data" / "dataset.csv"),
+             "--out-file", str(out), flag, value]
+        )
+        assert code == EXIT_USAGE
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCv:
     def test_fold_and_aggregate_tables(self, workspace):
@@ -423,6 +467,14 @@ class TestSeedOverride:
             ["evaluate", "--config", str(config), "--seed", "9"]
         )
         assert code == EXIT_FINGERPRINT
+
+    def test_negative_seed_is_usage(self, workspace, tmp_path, capsys):
+        _, config = workspace
+        code = main(
+            ["train", "--config", str(config), "--seed", "-1", "--out", str(tmp_path / "r")]
+        )
+        assert code == EXIT_USAGE
+        assert "error: bad train section: seed must be >= 0" in capsys.readouterr().err
 
 
 def outputs(run_dir):

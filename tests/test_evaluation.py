@@ -22,7 +22,7 @@ from loadcast.frames import (
     apply_scaler,
     fit_scaler,
 )
-from loadcast.lags import LagSet
+from loadcast.lags import LagSet, window_faults
 from loadcast.model import Model, ModelConfig, forced_keep
 from loadcast.training import mape
 
@@ -300,6 +300,17 @@ class TestFeasibilityScan:
         assert len(expected) > 0
         assert got.tolist() == expected
 
+    def test_per_anchor_horizons_equal_per_horizon_calls(self):
+        frame = scattered_gaps()
+        anchors = np.arange(-5, 620, 7)  # some before and past the frame
+        horizons = np.resize([6, 42, 15, 0, 24], len(anchors))
+        got = window_faults(frame, anchors, horizons, LAGS.lags, 6)
+        assert got[:, horizons > 0].any(axis=1).all()  # every fault occurs
+        for h in np.unique(horizons):
+            at = horizons == h
+            expected = window_faults(frame, anchors[at], int(h), LAGS.lags, 6)
+            np.testing.assert_array_equal(got[:, at], expected)
+
 
 def build_model(method, frame, scaler, tau=6):
     config = ModelConfig(
@@ -374,6 +385,20 @@ class TestBatchedRollout:
                 model, scaled, [130, bad_anchor, 250], 18, LAGS, scaler
             )
         assert str(batch.value) == str(single.value)
+
+    # each gap is inside the long anchor's window or reads, and would be
+    # inside the short anchor's at horizon 18 but not at 6: past its window
+    # (an exogenous gap) or in its chunk-1 read at lag 24 (a load gap)
+    @pytest.mark.parametrize("row, col, short, long", [(160, 1, 150, 145), (164, 0, 182, 170)])
+    def test_ragged_gap_counts_only_in_each_anchors_own_window(self, row, col, short, long):
+        model, scaled, scaler = self.gapped(row, col)
+        with pytest.raises(CoverageError) as single:
+            forecast_rollout(model, scaled, long, 18, LAGS, scaler)
+        with pytest.raises(CoverageError) as batch:
+            forecast_rollout_batch(model, scaled, [short, long], [6, 18], LAGS, scaler)
+        assert str(batch.value) == str(single.value)
+        out = forecast_rollout_batch(model, scaled, [short, 130], [6, 18], LAGS, scaler)
+        assert np.isfinite(out[0, :6]).all() and np.isfinite(out[1]).all()
 
     def test_future_load_gap_is_not_read(self):
         model, scaled, scaler = self.gapped(175, 0)
