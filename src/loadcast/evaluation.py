@@ -96,8 +96,9 @@ def _raise_first_fault(
             f"({frame.n_rows} rows)"
         )
     if fault == 1:
-        window = np.delete(frame.missing[t0 + 1 : t0 + 1 + horizon], frame.target_index, axis=1)
-        ts = frame.timestamps[t0 + 1 + int(np.argmax(window.any(axis=1)))]
+        first = max(t0 + 1, 0)  # an anchor before the frame: its window's rows in it
+        window = np.delete(frame.missing[first : t0 + 1 + horizon], frame.target_index, axis=1)
+        ts = frame.timestamps[first + int(np.argmax(window.any(axis=1)))]
         raise CoverageError(
             f"missing exogenous data at {format_timestamp(ts)} "
             f"inside the forecast window"

@@ -325,7 +325,8 @@ class Model:
         mode.  Training draws run example by example, view mask first and
         then every sublayer, which is the order of ``blocks`` separate
         single-example forwards; so a batch sees the same masks as those
-        forwards would.
+        forwards would.  The whole batch's draws are one
+        :meth:`RngStream.uniforms` call.
         """
         f = self.n_views
         keep = np.ones((blocks, f), dtype=bool)
@@ -333,16 +334,18 @@ class Model:
         if isinstance(mode, RngStream):
             p_e = self.config.embedding_dropout
             p = self.config.transformer_dropout
-            factors = []
-            for b in range(blocks):
-                if p_e > 0.0:
-                    keep[b] = mode.draw().random(f) >= p_e
-                if p > 0.0:
-                    factors.append(
-                        [ad.dropout_factor((rows, self.width), p, mode) for _ in range(sites)]
-                    )
-            if factors:
-                drops = [np.concatenate(site) for site in zip(*factors)]
+            views = [(f,)] if p_e > 0.0 else []
+            units = [(rows, self.width)] * sites if p > 0.0 else []
+            per = len(views) + len(units)  # draws per example
+            if per:
+                u = mode.uniforms((views + units) * blocks)
+                if views:
+                    keep[:] = np.stack(u[::per]) >= p_e
+                if units:
+                    drops = [
+                        ad.dropout_factor(np.concatenate(u[i::per]), p)
+                        for i in range(len(views), per)
+                    ]
         elif mode is not None:
             if len(mode) != f:
                 raise ConfigError(f"forced mask has {len(mode)} entries for {f} views")

@@ -206,7 +206,7 @@ class TestDropout:
         n = 4000
         acc = np.zeros((4, 4))
         for seed in range(n):
-            acc += 2.0 * ad.dropout_factor((4, 4), p, RngStream(seed))
+            acc += 2.0 * ad.dropout_factor(RngStream(seed).draw().random((4, 4)), p)
         acc /= n
         # kept entries are rescaled by 1/(1-p), so the estimator is unbiased;
         # 3 sigma of the per-cell Monte-Carlo error
@@ -215,7 +215,7 @@ class TestDropout:
 
     def test_mask_zeroes_gradients(self):
         x = Mat(np.ones((6, 4)))
-        out = ad.mul(x, Mat(ad.dropout_factor(x.shape, 0.5, RngStream(11))))
+        out = ad.mul(x, Mat(ad.dropout_factor(RngStream(11).draw().random(x.shape), 0.5)))
         dropped = out.values == 0.0
         assert dropped.any() and not dropped.all()
         ad.backward(ad.mean(out))
@@ -223,8 +223,8 @@ class TestDropout:
         assert np.all(x.grad[~dropped] != 0.0)
 
     def test_same_stream_same_mask(self):
-        a = ad.dropout_factor((8, 8), 0.4, RngStream(7, path=(1, 2)))
-        b = ad.dropout_factor((8, 8), 0.4, RngStream(7, path=(1, 2)))
+        a = ad.dropout_factor(RngStream(7, path=(1, 2)).draw().random((8, 8)), 0.4)
+        b = ad.dropout_factor(RngStream(7, path=(1, 2)).draw().random((8, 8)), 0.4)
         np.testing.assert_array_equal(a, b)
 
 
@@ -249,3 +249,47 @@ class TestRngStream:
         a = s.split(0).draw().random(6)
         b = s.split(1).draw().random(6)
         assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "seed, path, counter",
+        [(0, (), 0), (5, (1,), 17), (7, (3, 2**33), 4), (2**40 + 1, (2,), 2**32 + 6)],
+    )
+    def test_draw_is_numpys_seed_sequence(self, seed, path, counter):
+        s = RngStream(seed, path, counter)
+        want = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=path + (counter,)))
+        ).random(9)
+        np.testing.assert_array_equal(s.draw().random(9), want)
+        assert s.counter == counter + 1
+
+    MIXED = [(14,), (4, 8), (), 3, (0, 5), (2, 2, 2)]
+
+    @pytest.mark.parametrize(
+        "seed, path, counter, shapes",
+        [
+            (3, (), 0, MIXED),  # empty path
+            (7, (1, 2), 11, MIXED),  # path of length 2
+            (2**32 + 9, (1,), 0, MIXED),  # two-word seed
+            (2**130 + 1, (), 2, MIXED),  # seed longer than the pool
+            (4, (2**35 + 3, 6), 1, MIXED),  # path element of two words
+            (5, (1,), 40, []),  # no shapes
+            (5, (1,), 2**32 - 3, [(3, 4)] * 6),  # counters cross 2**32
+            (6, (2,), 2**64 - 4, [(2,)] * 4),  # the last 64-bit counters
+        ],
+    )
+    def test_uniforms_equal_draw_loop(self, seed, path, counter, shapes):
+        reference = RngStream(seed, path, counter)
+        want = [reference.draw().random(shape) for shape in shapes]
+        s = RngStream(seed, path, counter)
+        got = s.uniforms(shapes)
+        assert s.counter == reference.counter == counter + len(shapes)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    def test_uniforms_refuse_counters_past_64_bits(self):
+        s = RngStream(1, (), 2**64 - 2)
+        with pytest.raises(ValueError, match="64 bits"):
+            s.uniforms([(1,)] * 3)
+        assert s.counter == 2**64 - 2

@@ -1,4 +1,5 @@
 """Rollout mechanics, the persistence baseline, and report generation."""
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,6 +22,7 @@ from loadcast.frames import (
     TimeSeriesFrame,
     apply_scaler,
     fit_scaler,
+    format_timestamp,
 )
 from loadcast.lags import LagSet, window_faults
 from loadcast.model import Model, ModelConfig, forced_keep
@@ -385,6 +387,15 @@ class TestBatchedRollout:
                 model, scaled, [130, bad_anchor, 250], 18, LAGS, scaler
             )
         assert str(batch.value) == str(single.value)
+
+    def test_gap_in_window_of_anchor_before_frame_names_the_gap(self):
+        # anchor -5 runs rows -4..13; the first check it fails is the gap at row 2
+        model, scaled, scaler = self.gapped(2, 1)
+        message = re.escape(f"missing exogenous data at {format_timestamp(scaled.timestamps[2])}")
+        with pytest.raises(CoverageError, match=message):
+            forecast_rollout(model, scaled, -5, 18, LAGS, scaler)
+        with pytest.raises(CoverageError, match=message):
+            forecast_rollout_batch(model, scaled, [-5], 18, LAGS, scaler)
 
     # each gap is inside the long anchor's window or reads, and would be
     # inside the short anchor's at horizon 18 but not at 6: past its window

@@ -1,4 +1,6 @@
 """Embedding strategies, attention blocks, and the assembled forecaster."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from loadcast.model import (
     forced_keep,
     param_count,
 )
+from loadcast.training import SplitSpec, TrainConfig, train
 
 from conftest import small_frame, small_schema
 
@@ -410,6 +413,70 @@ class TestDropoutDraws:
         rng = RngStream(7)
         model.embed_views(x, rng)
         assert rng.counter == 1
+
+    @pytest.mark.parametrize(
+        "transformer_dropout, embedding_dropout",
+        [(0.3, 0.4), (0.0, 0.4), (0.3, 0.0)],
+        ids=["both", "embedding_only", "transformer_only"],
+    )
+    def test_batched_draws_equal_per_example_draws(self, transformer_dropout, embedding_dropout):
+        model, _, _, _ = built_model(
+            "additive",
+            transformer_dropout=transformer_dropout,
+            embedding_dropout=embedding_dropout,
+        )
+        blocks, rows, sites = 6, len(LAGS.lags), 2 * (1 + 2)
+        rng, reference = RngStream(7, (1,), 3), RngStream(7, (1,), 3)
+        keep, drops = model._draw_masks(rng, blocks, rows, sites)
+        want_keep, want_drops = per_example_masks(model, reference, blocks, rows, sites)
+        assert rng.counter == reference.counter
+        np.testing.assert_array_equal(keep, want_keep)
+        assert (~keep).any() == (embedding_dropout > 0)
+        assert len(drops) == len(want_drops) == sites
+        for got, want in zip(drops, want_drops):
+            if want is None:
+                assert got is None
+            else:
+                assert got.shape == (blocks * rows, model.width)
+                np.testing.assert_array_equal(got, want)
+        assert all(d is None for d in drops) == (transformer_dropout == 0)
+
+    def test_small_training_run_is_pinned(self):
+        # final parameters of a short additive run with both dropouts live,
+        # as per-example draws gave them
+        frame = small_frame(n=400, seed=4)
+        model_config = ModelConfig(
+            method="additive", d=4, heads=2, encoder_layers=1, decoder_layers=1,
+            horizon=3, transformer_dropout=0.1, embedding_dropout=0.2,
+        )
+        train_config = TrainConfig(
+            epochs=2, batch_size=32, lr0=0.003, seed=0,
+            split=SplitSpec(test_hours=60, val_hours=60, max_train_hours=240),
+        )
+        result = train(frame, model_config, train_config, lag_set=LAGS)
+        assert (
+            hashlib.sha256(result.final_params.tobytes()).hexdigest()
+            == "120a3c4bd1085296120960fbac7aee4e906349488e21534fdcbf158b3169443a"
+        )
+
+
+def per_example_masks(model, rng, blocks, rows, sites):
+    """``_draw_masks`` under an RngStream as it was before batched draws:
+    one ``draw`` per example's view mask and per sublayer factor, example
+    by example, each thresholded on its own."""
+    p_e, p = model.config.embedding_dropout, model.config.transformer_dropout
+    keep = np.ones((blocks, model.n_views), dtype=bool)
+    factors = []
+    for b in range(blocks):
+        if p_e > 0.0:
+            keep[b] = rng.draw().random(model.n_views) >= p_e
+        if p > 0.0:
+            factors.append(
+                [(rng.draw().random((rows, model.width)) >= p) / (1.0 - p) for _ in range(sites)]
+            )
+    keep[:, model.target_view] = True
+    drops = [np.concatenate(site) for site in zip(*factors)] if factors else [None] * sites
+    return keep, drops
 
 
 def all_rows_forward(model, inputs, mode=None, trace=None):
