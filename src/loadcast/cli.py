@@ -419,19 +419,17 @@ def cmd_perturb(cfg: RunConfig | None, args) -> int:
 def cmd_cv(cfg: RunConfig, args) -> int:
     frame = _load_frame(cfg)
     lag_set = _lag_set(cfg, frame.n_rows)
-    horizons = [h for h in cfg.horizons if h % cfg.model.horizon == 0]
-    if not horizons:
-        horizons = [cfg.model.horizon]
     result = rolling_cv(
         frame,
         cfg.model,
         cfg.train,
         cv=cfg.cv,
         lag_set=lag_set,
-        horizons=horizons,
+        horizons=cfg.horizons,
         stride=cfg.stride,
         noise_seed=cfg.noise_seed,
         log=_log,
+        subsets=cfg.subsets,
     )
     os.makedirs(cfg.out, exist_ok=True)
     folds_path = os.path.join(cfg.out, "cv_folds.csv")

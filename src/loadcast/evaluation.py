@@ -30,7 +30,7 @@ from .frames import (
     write_json,
     write_table,
 )
-from .lags import LagSet, ScaledInput, _history_reads, window_faults
+from .lags import LagSet, _history_reads, window_faults
 from .model import Mode
 from .training import check_targets
 
@@ -69,9 +69,6 @@ class MetricsReport:
     param_counts: dict[str, int]
     # (horizon, subset) -> {"mape": float | None, "anchors": int}
     cells: dict = field(default_factory=dict)
-
-    def cell(self, horizon: int, subset: str):
-        return self.cells.get((horizon, subset))
 
 
 def _raise_first_fault(
@@ -130,11 +127,11 @@ def _rollout(
 
     ``horizon`` is one int for every anchor or one per anchor.  Chunk ``c``
     runs only the anchors whose horizon reaches past ``c * tau``; a row's
-    hours past its own horizon are NaN.  ``predict(c, x)`` maps chunk
-    ``c``'s lag rows ``x`` ``(anchors, L, F)`` to scaled forecasts
-    ``(anchors, tau)``.  Lag rows past an anchor read that anchor's earlier
-    forecasts in the target column, never the true future load; their
-    exogenous and calendar values are taken as known.
+    hours past its own horizon are NaN.  ``predict(x)`` maps a chunk's lag
+    rows ``x`` ``(anchors, L, F)`` to scaled forecasts ``(anchors, tau)``.
+    Lag rows past an anchor read that anchor's earlier forecasts in the
+    target column, never the true future load; their exogenous and calendar
+    values are taken as known.
     """
     if np.any(np.asarray(horizon) < 1):
         raise ValueError(f"horizon must be >= 1, got {np.min(horizon)}")
@@ -154,7 +151,7 @@ def _rollout(
         ahead = c * tau - lags  # hours past the anchor of each lag row
         fed = ahead > 0
         x[:, fed, tcol] = out[live[:, None], ahead[fed] - 1]
-        out[live, c * tau : (c + 1) * tau] = predict(c, x)
+        out[live, c * tau : (c + 1) * tau] = predict(x)
     stats = scaler.stats[scaled.target_name]
     return out[:, :width] * stats.std + stats.mean
 
@@ -170,16 +167,18 @@ def forecast_rollout(
 ) -> np.ndarray:
     """Forecast hours t0+1 .. t0+horizon, in original load units.
 
-    Each chunk is one ``model.forward`` call on a :class:`ScaledInput`;
-    lag reads landing past t0 see the earlier chunks' forecasts only.
+    Each chunk is one ``model.forward`` call on the chunk's ``(L, F)`` lag
+    rows; lag reads landing past t0 see the earlier chunks' forecasts only.
     """
-    tau = model.config.horizon
-
-    def predict(c: int, x: np.ndarray) -> np.ndarray:
-        chunk = ScaledInput(t0 + c * tau, lag_set.lags, x[0])
-        return model.forward(chunk, mode).values
-
-    return _rollout(scaled, [t0], horizon, lag_set, scaler, tau, predict)[0]
+    return _rollout(
+        scaled,
+        [t0],
+        horizon,
+        lag_set,
+        scaler,
+        model.config.horizon,
+        lambda x: model.forward(x[0], mode).values,
+    )[0]
 
 
 def forecast_rollout_batch(
@@ -201,7 +200,7 @@ def forecast_rollout_batch(
         lag_set,
         scaler,
         model.config.horizon,
-        lambda c, x: model.forward_batch(x, mode).values,
+        lambda x: model.forward_batch(x, mode).values,
     )
 
 

@@ -105,6 +105,10 @@ def _panel(
     horizon: int,
     lag_set: LagSet,
 ) -> PanelSeries:
+    """Forecasts from the target plus ``group``'s views, or from every view
+    when ``group`` is ``None`` (the combined panel).  Anchors tile the range
+    back to back, so the series is hourly and contiguous; it equals
+    ``forecast_rollout`` from each tile's anchor, concatenated."""
     start, end = rng
     anchors = np.arange(start, end - horizon, horizon)
     if not len(anchors):
@@ -123,27 +127,6 @@ def _panel(
         timestamps=scaled.timestamps[start + 1 : start + 1 + values.size],
         values=values.ravel(),
     )
-
-
-def isolate_view(
-    model: Model,
-    frame: TimeSeriesFrame,
-    scaler,
-    group: ViewGroup | None,
-    rng: tuple[int, int],
-    horizon: int,
-    lag_set: LagSet | None = None,
-) -> PanelSeries:
-    """Forecasts produced from the target plus one group of views.
-
-    ``group=None`` runs unmasked (the combined panel).  Anchors tile the
-    range back to back so the output is a contiguous hourly series; it
-    equals ``forecast_rollout`` from each tile's anchor, concatenated.
-    """
-    if lag_set is None:
-        lag_set = lag_set_for_history(frame.n_rows)
-    scaled = apply_scaler(frame, scaler)
-    return _panel(model, scaled, scaler, group, rng, horizon, lag_set)
 
 
 def isolation_panels(

@@ -61,19 +61,6 @@ def lag_set_for_history(n_rows: int) -> "LagSet":
     return base
 
 
-@dataclass(frozen=True)
-class ScaledInput:
-    """One anchor's stacked lag rows, in scaled units, oldest lag first."""
-
-    anchor: int
-    lags: tuple[int, ...]
-    values: np.ndarray  # (|lags|, n_features)
-
-    def __post_init__(self):
-        if self.values.shape[0] != len(self.lags):
-            raise ValueError("one row per lag required")
-
-
 def _history_reads(horizon: int, tau: int, lags) -> list[tuple[int, int, int]]:
     """Every lag read a rollout takes from the frame itself, i.e. at or
     before its anchor, chunk by chunk and oldest lag first: the read's
@@ -149,19 +136,32 @@ def valid_timestamps(
     return anchors
 
 
-def _gather(
-    frame: TimeSeriesFrame, anchors: np.ndarray, lag_set: LagSet, horizon: int = 0
-) -> np.ndarray:
-    """Lag rows ``(anchors, L, F)``: rows t-lag for each anchor t, oldest
-    lag first.
+def build_batch(
+    scaled: TimeSeriesFrame,
+    anchors: np.ndarray,
+    lag_set: LagSet,
+    horizon: int,
+    raw_load: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lag rows ``(B, L, F)``, scaled targets ``(B, horizon)`` and raw
+    targets ``(B, horizon)`` for a batch of anchor indices.
+
+    Anchor ``t``'s lag rows are rows t-lag, oldest lag first: the array
+    :meth:`Model.forward_batch` takes.  ``raw_load`` is the unscaled load
+    column of the same frame; targets are the ``horizon`` rows after each
+    anchor, in both scaled and original units, and ``horizon`` 0 gives the
+    lag rows alone.
 
     Raises for the first anchor, in array order, that leaves no room for
     ``horizon`` target rows (when ``horizon`` > 0), reaches before the
     frame, or reads a row with missing data; an anchor's faults are
     checked in that order.
     """
+    if len(raw_load) != scaled.n_rows:
+        raise ValueError("raw_load length must match the frame")
+    anchors = np.asarray(anchors, dtype=np.int64)
     lags = np.array(lag_set.lags)
-    faults = window_faults(frame, anchors, horizon, lags)[[0, 2, 3]]
+    faults = window_faults(scaled, anchors, horizon, lags)[[0, 2, 3]]
     if faults.any():
         i = int(np.argmax(faults.any(axis=0)))
         t = int(anchors[i])
@@ -172,34 +172,8 @@ def _gather(
             raise FrameTooShortError(
                 f"anchor {t} reaches before the frame at lag {lag_set.max_lag}"
             )
-        lag = lags[int(np.argmax(frame.missing[t - lags].any(axis=1)))]
+        lag = lags[int(np.argmax(scaled.missing[t - lags].any(axis=1)))]
         raise FrameTooShortError(f"anchor {t} hits missing data at lag {lag}")
-    return frame.values[anchors[:, None] - lags]
-
-
-def build_input(frame: TimeSeriesFrame, t: int, lag_set: LagSet) -> ScaledInput:
-    """Stack rows t-lag for each lag, oldest first, refusing missing data."""
-    values = _gather(frame, np.array([t]), lag_set)[0]
-    return ScaledInput(anchor=t, lags=lag_set.lags, values=values)
-
-
-def build_batch(
-    scaled: TimeSeriesFrame,
-    anchors: np.ndarray,
-    lag_set: LagSet,
-    horizon: int,
-    raw_load: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inputs ``(B, L, F)``, scaled targets ``(B, horizon)`` and raw targets
-    ``(B, horizon)`` for a batch of anchor indices.
-
-    ``raw_load`` is the unscaled load column of the same frame; targets are
-    the ``horizon`` rows after each anchor, in both scaled and original
-    units.
-    """
-    if len(raw_load) != scaled.n_rows:
-        raise ValueError("raw_load length must match the frame")
-    anchors = np.asarray(anchors, dtype=np.int64)
-    inputs = _gather(scaled, anchors, lag_set, horizon)
+    inputs = scaled.values[anchors[:, None] - lags]
     steps = anchors[:, None] + np.arange(1, horizon + 1)
     return inputs, scaled.values[steps, scaled.target_index], raw_load[steps]

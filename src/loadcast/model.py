@@ -19,7 +19,6 @@ from . import autodiff as ad
 from .autodiff import Mat, RngStream
 from .errors import ConfigError
 from .frames import CATEGORICAL, CONTINUOUS, TARGET, FeatureSpec, Scaler
-from .lags import ScaledInput
 
 METHODS = ("additive", "concatenative", "svd")
 HEAD_REDUCES = ("last", "mean")
@@ -353,20 +352,6 @@ class Model:
         keep[:, self.target_view] = True
         return keep, drops
 
-    def _lag_rows(self, input: ScaledInput | np.ndarray) -> np.ndarray:
-        x = input.values if isinstance(input, ScaledInput) else np.asarray(input)
-        if x.ndim != 2 or x.shape[1] != self.n_views:
-            raise ConfigError(
-                f"input shape {x.shape} does not match {self.n_views} views"
-            )
-        return x
-
-    def embed_views(self, input: ScaledInput | np.ndarray, mode: Mode = None) -> Mat:
-        """Per-view embeddings of one example, gated, masked, and aggregated;
-        ``mode`` as in :meth:`forward_batch`, drawing the view mask only."""
-        x = self._lag_rows(input)
-        return self._embed(x, self._draw_masks(mode, 1, len(x), 0)[0])
-
     def _embed(self, x: np.ndarray, keep: np.ndarray) -> Mat:
         """Embed stacked lag rows ``x``; ``keep`` is the ``(blocks, F)`` mask."""
         x = x.copy() if self._binned else x
@@ -495,14 +480,15 @@ class Model:
 
     def forward(
         self,
-        input: ScaledInput | np.ndarray,
+        input: np.ndarray,
         mode: Mode = None,
         trace: ModelTrace | None = None,
     ) -> Mat:
-        """Full pipeline for one ``(L, F)`` example: embed, encode,
-        cross-decode, read the ``(1, horizon)`` forecast row."""
-        x = self._lag_rows(input)
-        return self.forward_batch(x[None], mode, trace)
+        """Full pipeline for one example's ``(L, F)`` lag rows: embed,
+        encode, cross-decode, read the ``(1, horizon)`` forecast row.  It is
+        :meth:`forward_batch` on a batch of one, whose shape check names
+        the view count."""
+        return self.forward_batch(np.asarray(input)[None], mode, trace)
 
     def forward_batch(
         self,

@@ -616,16 +616,25 @@ def rolling_cv(
     stride: int = 24,
     noise_seed: int = 0,
     log=None,
+    subsets=None,
 ) -> CvResult:
-    """Train a fresh model per fold and score it on the following month."""
-    from .evaluation import evaluate  # circular at module level
+    """Train a fresh model per fold and score it on the following month.
+
+    ``horizons`` (default: the model's chunk length) and ``subsets``
+    (default: all three) are scored as :func:`evaluate` scores them; a
+    horizon that is not a multiple of the chunk length is refused before
+    any fold trains.
+    """
+    from .evaluation import SUBSETS, HorizonSpec, evaluate  # circular at module level
 
     tc = train_config
     if lag_set is None:
         lag_set = lag_set_for_history(frame.n_rows)
     horizon = model_config.horizon
-    if horizons is None:
-        horizons = [horizon]
+    spec = HorizonSpec((horizon,) if horizons is None else tuple(horizons))
+    spec.validate_chunks(horizon)
+    horizons = spec.horizons
+    subsets = SUBSETS if subsets is None else tuple(subsets)
     geometry = cv_folds(frame.n_rows, lag_set.max_lag, cv)
     raw_load = frame.values[:, frame.target_index].copy()
 
@@ -663,12 +672,13 @@ def rolling_cv(
             lag_set=lag_set,
             stride=stride,
             noise_seed=noise_seed,
+            subsets=subsets,
         )
         folds.append(Fold(k, train_range, test_range, report))
 
     aggregate = {}
     for horizon_hours in horizons:
-        for subset in ("full", "holidays", "noisy"):
+        for subset in subsets:
             values = []
             for fold in folds:
                 cell = fold.report.cells.get((horizon_hours, subset))

@@ -334,7 +334,7 @@ class TestAcceptance:
         forecast_rollout(Stub(), scaled, 300, 168, lag_set, scaler)
         count_ok = len(calls) == 7
         feed_ok = all(
-            calls[c].values[-1, 0] == 0.25 * c  # 1h lag row, written by chunk c-1
+            calls[c][-1, 0] == 0.25 * c  # 1h lag row, written by chunk c-1
             for c in range(1, 7)
         )
         _verdict(

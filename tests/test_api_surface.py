@@ -1,0 +1,67 @@
+"""Every public function, class and method of the package has a caller
+outside the tests.
+
+A public name (no leading underscore) defined at the top level of a
+``src/loadcast`` module, or as a method of a top-level class, must appear in
+``src/``, ``demos/`` or ``perfbench/`` somewhere other than a line that
+defines it.  API that only tests reach is dead weight: delete it, or make it
+private and call it from the tests as such.
+"""
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "loadcast"
+SEARCHED = ("src", "demos", "perfbench")
+
+# kept without a caller: the finite-difference instrument of acceptance
+# criterion 1, and the scaler's reader for run directories that store it
+ALLOWED = {"finite_diff_check", "from_dict"}
+
+
+def public_definitions():
+    """``{name: [(file, line), ...]}`` of public top-level functions and
+    classes and the public methods of top-level classes."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        nodes = list(tree.body)
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                nodes += node.body
+        for node in nodes:
+            kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if isinstance(node, kinds) and not node.name.startswith("_"):
+                found.setdefault(node.name, []).append((path, node.lineno))
+    return found
+
+
+def searched_lines():
+    """``(file, line number, text)`` of every source and script line."""
+    for top in SEARCHED:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.suffix in (".py", ".sh") and path.is_file():
+                for number, text in enumerate(path.read_text().splitlines(), 1):
+                    yield path, number, text
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    definitions = public_definitions()
+    lines = list(searched_lines())
+    unused = []
+    for name, places in sorted(definitions.items()):
+        if name in ALLOWED:
+            continue
+        own = set(places)
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        if not any(
+            (path, number) not in own and word.search(text)
+            for path, number, text in lines
+        ):
+            unused.append(f"{name} ({places[0][0].name}:{places[0][1]})")
+    assert unused == [], f"public names reached only by tests: {unused}"
+
+
+def test_the_allowlist_names_existing_definitions():
+    assert ALLOWED <= set(public_definitions())

@@ -377,6 +377,30 @@ class TestCv:
         assert {r[0] for r in full} == {"6", "12"}
         assert all(r[4] == "2" for r in full)
 
+    @pytest.mark.parametrize("horizons", ["[6, 9]", "[9]"])
+    def test_horizon_off_the_chunk_length_is_usage(self, workspace, tmp_path, capsys, horizons):
+        _, config = workspace
+        out = tmp_path / "cv"
+        moved = config_with(config, tmp_path / "config.yaml", horizons=horizons, out=out)
+        assert main(["cv", "--config", str(moved)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: horizon 9 is not a multiple of the chunk length 6" in err
+        assert "fold 0" not in err  # refused before any fold trains
+        assert not out.exists()
+
+    def test_subsets_limit_both_tables(self, workspace, tmp_path):
+        _, config = workspace
+        every, full = tmp_path / "every", tmp_path / "full"
+        assert main(["cv", "--config", str(config), "--out", str(every)]) == EXIT_OK
+        moved = config_with(config, tmp_path / "config.yaml", subsets="[full]", out=full)
+        assert main(["cv", "--config", str(moved)]) == EXIT_OK
+        for name, col in (("cv_folds.csv", 6), ("cv_aggregate.csv", 1)):
+            header, *rows = read_csv_rows(full / name)
+            every_header, *every_rows = read_csv_rows(every / name)
+            assert header == every_header
+            assert "noisy" in {r[col] for r in every_rows}
+            assert rows == [r for r in every_rows if r[col] == "full"]
+
 
 class TestZeroLoad:
     @pytest.mark.parametrize(

@@ -47,11 +47,7 @@ class StubModel:
         return Mat(out.reshape(1, -1))
 
     def forward_batch(self, inputs, directive=None):
-        # batched examples carry no anchor; ``fn`` reads ``x.values`` only
-        rows = [
-            self.forward(SimpleNamespace(values=x), directive).values
-            for x in inputs
-        ]
+        rows = [self.forward(x, directive).values for x in inputs]
         return Mat(np.vstack(rows))
 
     def n_params(self):
@@ -165,7 +161,7 @@ class TestForecastRollout:
         forecast_rollout(model, scaled, 100, 18, LAGS, scaler)
         assert len(model.calls) == 3
         for call in (1, 2):
-            lag1_row = model.calls[call].values[-1]  # lags ordered oldest first
+            lag1_row = model.calls[call][-1]  # lags ordered oldest first
             tcol = scaled.target_index
             assert lag1_row[tcol] == constants[call - 1]
 
@@ -174,7 +170,7 @@ class TestForecastRollout:
         seen = []
 
         def fn(x, call):
-            seen.append(x.values.copy())
+            seen.append(x.copy())
             return np.zeros(tau)
 
         frame, scaler, scaled, model = self.setup_rollout(tau=tau, fn=fn)
@@ -199,9 +195,9 @@ class TestForecastRollout:
             decoder_layers=1, horizon=6,
         )
         model = Model.build(config, frame.specs, RngStream(0).split(0), scaler)
-        from loadcast.lags import build_input
+        from loadcast.lags import build_batch
 
-        x = build_input(scaled, 150, LAGS)
+        x = build_batch(scaled, [150], LAGS, 0, scaled.values[:, scaled.target_index])[0][0]
         direct = model.forward(x).values[0]
         stats = scaler.stats["load"]
         rolled = forecast_rollout(model, scaled, 150, 6, LAGS, scaler)
@@ -474,7 +470,7 @@ class TestBatchedRollout:
         per_chunk = [int((reach > c * 6).sum()) for c in range(3)]
         # chunks 0-2 for the clean frame, then again for the noisy one
         assert model.rows == per_chunk * 2
-        assert report.cell(18, "noisy")["anchors"] == len(long)
+        assert report.cells[(18, "noisy")]["anchors"] == len(long)
 
     @pytest.mark.parametrize("subsets", [("full",), ("noisy",), ("holidays",)])
     def test_evaluate_rolls_out_only_the_sources_it_scores(self, subsets):
@@ -532,7 +528,7 @@ class TestBatchedRollout:
                 if (holiday[t0 + 1 : t0 + 1 + horizon] != 0).any()
             ]
             for subset, values in scores.items():
-                cell = report.cell(horizon, subset)
+                cell = report.cells[(horizon, subset)]
                 assert cell["anchors"] == len(values) > 0
                 assert cell["mape"] == pytest.approx(np.mean(values), rel=1e-12)
 
@@ -550,7 +546,7 @@ class TestEvaluate:
             # The oracle's forecasts are the truth, so the load column of the
             # lag rows is the truth too, and on these random-load frames it
             # matches exactly one anchor.
-            (hit,) = np.flatnonzero((history == x.values[:, tcol]).all(axis=1))
+            (hit,) = np.flatnonzero((history == x[:, tcol]).all(axis=1))
             anchor = candidates[hit]
             return truth[anchor + 1 : anchor + 1 + tau]
 
@@ -576,8 +572,8 @@ class TestEvaluate:
             model, frame, scaler, (300, 500), horizons=(6,),
             lag_set=LAGS, stride=24,
         )
-        full = report.cell(6, "full")
-        holidays = report.cell(6, "holidays")
+        full = report.cells[(6, "full")]
+        holidays = report.cells[(6, "holidays")]
         # anchors 300, 324, ... window [t0+1, t0+6]; only 348's window lands
         # inside rows 340..363
         assert holidays["anchors"] == 1
@@ -591,7 +587,7 @@ class TestEvaluate:
             model, frame, scaler, (300, 500), horizons=(6,),
             lag_set=LAGS, stride=24,
         )
-        assert report.cell(6, "holidays") == {"mape": None, "anchors": 0}
+        assert report.cells[(6, "holidays")] == {"mape": None, "anchors": 0}
 
     @pytest.mark.parametrize(
         "rng, horizons, scored",
@@ -606,7 +602,7 @@ class TestEvaluate:
         )
         for horizon in horizons:
             for subset in ("full", "noisy"):
-                cell = report.cell(horizon, subset)
+                cell = report.cells[(horizon, subset)]
                 if horizon in scored:
                     assert cell["anchors"] > 0
                     assert cell["mape"] == pytest.approx(0.0, abs=1e-9)
@@ -621,7 +617,7 @@ class TestEvaluate:
             model, frame, scaler, (300, 500), horizons=(6,),
             lag_set=LAGS, stride=24,
         )
-        assert report.cell(6, "noisy")["anchors"] == report.cell(6, "full")["anchors"]
+        assert report.cells[(6, "noisy")]["anchors"] == report.cells[(6, "full")]["anchors"]
 
     def test_noise_perturbs_scores_of_an_input_sensitive_model(self):
         frame = frame_with_holiday(600, holiday_rows=(), seed=7)
@@ -629,14 +625,14 @@ class TestEvaluate:
 
         def fn(x, call):
             # leans on the temperature column, so injected noise shifts it
-            return np.full(6, x.values[-1, 1])
+            return np.full(6, x[-1, 1])
 
         model = StubModel(6, fn)
         report = evaluate(
             model, frame, scaler, (300, 500), horizons=(6,),
             lag_set=LAGS, stride=24, noise_seed=3,
         )
-        assert report.cell(6, "noisy")["mape"] != report.cell(6, "full")["mape"]
+        assert report.cells[(6, "noisy")]["mape"] != report.cells[(6, "full")]["mape"]
 
     def test_two_runs_identical(self):
         frame = frame_with_holiday(600, holiday_rows=range(340, 364))

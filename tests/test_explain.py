@@ -10,8 +10,8 @@ from loadcast.evaluation import forecast_rollout
 from loadcast.explain import (
     ViewGroup,
     default_groups,
+    _panel,
     dump_embeddings,
-    isolate_view,
     isolation_panels,
     svd_embeddings,
     validate_groups,
@@ -109,37 +109,37 @@ class TestIsolateView:
     def test_all_views_kept_equals_combined(self):
         model, frame, scaler = built()
         rng = (200, 250)
-        combined = isolate_view(model, frame, scaler, None, rng, 6, LAGS)
+        combined = _panel(model, apply_scaler(frame, scaler), scaler, None, rng, 6, LAGS)
         everything = ViewGroup("everything", ("temperature", "hour"))
-        kept = isolate_view(model, frame, scaler, everything, rng, 6, LAGS)
+        kept = _panel(model, apply_scaler(frame, scaler), scaler, everything, rng, 6, LAGS)
         np.testing.assert_array_equal(combined.values, kept.values)
 
     def test_empty_group_equals_zeroed_gates(self):
         model, frame, scaler = built()
         rng = (200, 250)
-        nothing = isolate_view(
-            model, frame, scaler, ViewGroup("nothing", ()), rng, 6, LAGS
+        nothing = _panel(
+            model, apply_scaler(frame, scaler), scaler, ViewGroup("nothing", ()), rng, 6, LAGS
         )
         zeroed, _, _ = built()
         for spec in zeroed.specs:
             if spec.role != "target":
                 zeroed.params[f"gate/{spec.name}"].values[...] = 0.0
-        bare = isolate_view(zeroed, frame, scaler, None, rng, 6, LAGS)
+        bare = _panel(zeroed, apply_scaler(frame, scaler), scaler, None, rng, 6, LAGS)
         np.testing.assert_array_equal(nothing.values, bare.values)
 
     def test_single_view_panel_differs_from_combined(self):
         model, frame, scaler = built()
         rng = (200, 250)
-        combined = isolate_view(model, frame, scaler, None, rng, 6, LAGS)
-        only_temp = isolate_view(
-            model, frame, scaler, ViewGroup("temperature", ("temperature",)),
+        combined = _panel(model, apply_scaler(frame, scaler), scaler, None, rng, 6, LAGS)
+        only_temp = _panel(
+            model, apply_scaler(frame, scaler), scaler, ViewGroup("temperature", ("temperature",)),
             rng, 6, LAGS,
         )
         assert not np.array_equal(combined.values, only_temp.values)
 
     def test_tiling_is_contiguous(self):
         model, frame, scaler = built()
-        panel = isolate_view(model, frame, scaler, None, (200, 226), 6, LAGS)
+        panel = _panel(model, apply_scaler(frame, scaler), scaler, None, (200, 226), 6, LAGS)
         # anchors 200, 206, 212, 218 fit; 224 would run past the range
         assert len(panel.values) == 24
         assert panel.timestamps[0] == frame.timestamps[201]
@@ -149,7 +149,7 @@ class TestIsolateView:
     def test_range_shorter_than_horizon_rejected(self):
         model, frame, scaler = built()
         with pytest.raises(ConfigError, match="shorter than one horizon"):
-            isolate_view(model, frame, scaler, None, (200, 205), 6, LAGS)
+            _panel(model, apply_scaler(frame, scaler), scaler, None, (200, 205), 6, LAGS)
 
 
 class TestBatchedRollout:
@@ -159,7 +159,7 @@ class TestBatchedRollout:
     )
     def test_panel_equals_tiled_rollouts(self, method, group):
         model, frame, scaler = built(method)
-        panel = isolate_view(model, frame, scaler, group, (200, 250), 6, LAGS)
+        panel = _panel(model, apply_scaler(frame, scaler), scaler, group, (200, 250), 6, LAGS)
         scaled = apply_scaler(frame, scaler)
         kw = {}
         if group is not None:
@@ -178,7 +178,7 @@ class TestBatchedRollout:
         groups = default_groups(frame.specs)
         panels = isolation_panels(model, frame, scaler, groups, (200, 226), 6, LAGS)
         for panel, group in zip(panels, (None, *groups)):
-            alone = isolate_view(model, frame, scaler, group, (200, 226), 6, LAGS)
+            alone = _panel(model, apply_scaler(frame, scaler), scaler, group, (200, 226), 6, LAGS)
             np.testing.assert_array_equal(panel.values, alone.values)
 
 

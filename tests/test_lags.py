@@ -8,7 +8,6 @@ from loadcast.errors import FrameTooShortError
 from loadcast.lags import (
     LagSet,
     build_batch,
-    build_input,
     lag_set_for_history,
     valid_timestamps,
 )
@@ -16,6 +15,11 @@ from loadcast.lags import (
 from conftest import small_frame, target_only_frame
 
 DEFAULT_LAGS = (8760, 168, 24, 12, 6, 5, 4, 3, 2, 1)
+
+
+def lag_rows(frame, t, lag_set):
+    """Anchor ``t``'s ``(L, F)`` lag rows, from ``build_batch`` with no targets."""
+    return build_batch(frame, [t], lag_set, 0, frame.values[:, frame.target_index])[0][0]
 
 
 def brute_force_anchors(frame, lags, horizon):
@@ -128,39 +132,39 @@ class TestValidTimestamps:
 class TestBuildInput:
     def test_index_identity_frame(self):
         frame = target_only_frame(np.arange(8761))
-        x = build_input(frame, 8760, LagSet())
+        x = lag_rows(frame, 8760, LagSet())
         expected = [0, 8592, 8736, 8748, 8754, 8755, 8756, 8757, 8758, 8759]
-        np.testing.assert_array_equal(x.values[:, 0], expected)
+        np.testing.assert_array_equal(x[:, 0], expected)
 
     def test_rows_oldest_first(self):
         frame = small_frame(n=200)
-        x = build_input(frame, 180, LagSet((168, 24, 1)))
-        np.testing.assert_array_equal(x.values[0], frame.values[180 - 168])
-        np.testing.assert_array_equal(x.values[1], frame.values[180 - 24])
-        np.testing.assert_array_equal(x.values[2], frame.values[179])
+        x = lag_rows(frame, 180, LagSet((168, 24, 1)))
+        np.testing.assert_array_equal(x[0], frame.values[180 - 168])
+        np.testing.assert_array_equal(x[1], frame.values[180 - 24])
+        np.testing.assert_array_equal(x[2], frame.values[179])
 
     def test_single_lag_is_previous_row(self):
         frame = small_frame(n=50)
-        x = build_input(frame, 10, LagSet((1,)))
-        np.testing.assert_array_equal(x.values, frame.values[9:10])
+        x = lag_rows(frame, 10, LagSet((1,)))
+        np.testing.assert_array_equal(x, frame.values[9:10])
 
     def test_deterministic(self):
         frame = small_frame(n=200)
-        a = build_input(frame, 180, LagSet((168, 1)))
-        b = build_input(frame, 180, LagSet((168, 1)))
-        np.testing.assert_array_equal(a.values, b.values)
+        a = lag_rows(frame, 180, LagSet((168, 1)))
+        b = lag_rows(frame, 180, LagSet((168, 1)))
+        np.testing.assert_array_equal(a, b)
 
     def test_invalid_anchor_names_lag(self):
         frame = target_only_frame(np.arange(100))
         with pytest.raises(FrameTooShortError, match="lag 168"):
-            build_input(frame, 100, LagSet((168, 1)))
+            lag_rows(frame, 100, LagSet((168, 1)))
 
     def test_missing_row_refused(self):
         missing = np.zeros((60, 1), bool)
         missing[30 - 24] = True
         frame = target_only_frame(np.arange(60), missing=missing)
         with pytest.raises(FrameTooShortError, match="lag 24"):
-            build_input(frame, 30, LagSet((24, 1)))
+            lag_rows(frame, 30, LagSet((24, 1)))
 
     def test_random_cell_equality(self):
         for seed in range(25):
@@ -168,9 +172,9 @@ class TestBuildInput:
             frame = small_frame(n=300, seed=seed)
             lags = (72, 24, 5, 1)
             t = int(rng.integers(72, 299))
-            x = build_input(frame, t, LagSet(lags))
+            x = lag_rows(frame, t, LagSet(lags))
             for j, lag in enumerate(lags):
-                np.testing.assert_array_equal(x.values[j], frame.values[t - lag])
+                np.testing.assert_array_equal(x[j], frame.values[t - lag])
 
 
 class TestBuildBatch:
@@ -189,7 +193,7 @@ class TestBuildBatch:
         anchors = np.array([85, 80, 90])
         inputs, _, _ = build_batch(frame, anchors, LagSet((72, 1)), 2, frame.column("load"))
         for x, t in zip(inputs, anchors):
-            np.testing.assert_array_equal(x, build_input(frame, t, LagSet((72, 1))).values)
+            np.testing.assert_array_equal(x, lag_rows(frame, t, LagSet((72, 1))))
 
     def test_empty_anchor_list(self):
         frame = small_frame(n=120)

@@ -8,7 +8,7 @@ from loadcast import autodiff as ad
 from loadcast.autodiff import Mat, RngStream
 from loadcast.errors import ConfigError
 from loadcast.frames import CONTINUOUS, TimeSeriesFrame, apply_scaler, fit_scaler
-from loadcast.lags import LagSet, build_input
+from loadcast.lags import LagSet, build_batch
 from loadcast.model import (
     METHODS,
     Model,
@@ -41,8 +41,18 @@ def built_model(method="additive", **overrides):
     scaler = fit_scaler(frame, (0, 120))
     scaled = apply_scaler(frame, scaler)
     model = Model.build(config, frame.specs, RngStream(3).split(0), scaler)
-    x = build_input(scaled, 60, LAGS)
+    x = lag_rows(scaled, [60])[0]
     return model, x, scaled, scaler
+
+
+def lag_rows(scaled, anchors):
+    """``(anchors, L, F)`` lag rows, from ``build_batch`` with no targets."""
+    return build_batch(scaled, anchors, LAGS, 0, scaled.values[:, scaled.target_index])[0]
+
+
+def embed_one(model, x, mode=None):
+    """One example's embedding, drawing only the view mask under ``mode``."""
+    return model._embed(x, model._draw_masks(mode, 1, len(x), 0)[0])
 
 
 class TestModelConfig:
@@ -159,7 +169,7 @@ class TestAttention:
 class TestEmbedViews:
     def test_forced_target_only_zeroes_other_columns(self):
         model, x, _, _ = built_model("concatenative")
-        z = model.embed_views(x, forced_keep(model.specs, []))
+        z = embed_one(model, x, forced_keep(model.specs, []))
         d = model.config.embed_dim
         target_cols = slice(model.target_view * d, (model.target_view + 1) * d)
         other = np.delete(z.values, np.arange(*target_cols.indices(z.shape[1])), axis=1)
@@ -169,7 +179,7 @@ class TestEmbedViews:
     def test_additive_cancellation(self):
         model, x, scaled, _ = built_model("additive")
         # identical input columns with negated embedding maps cancel
-        values = x.values.copy()
+        values = x.copy()
         values[:, 1] = values[:, 0]
         hour_table = model.params["embed/hour/table"]
         hour_table.values[...] = 0.0
@@ -177,40 +187,40 @@ class TestEmbedViews:
             model.params[f"embed/temperature/{name}"].values[...] = -(
                 model.params[f"embed/load/{name}"].values
             )
-        z = model.embed_views(values)
+        z = embed_one(model, values)
         np.testing.assert_allclose(z.values, 0.0, atol=1e-15)
 
     def test_svd_bin_center_hits_table_entry(self):
         model, x, _, scaler = built_model("svd", bins=4)
         q = model.quantizers["temperature"]
-        values = x.values.copy()
+        values = x.copy()
         k = 2
         center = q.lo + (k + 0.5) * q.bin_width
         values[:, 1] = center
-        z = model.embed_views(values)
+        z = embed_one(model, values)
         col = 1  # svd columns follow spec order, one per view
         table = model.params["embed/temperature/table"].values
         np.testing.assert_array_equal(z.values[:, col], np.full(len(values), table[k, 0]))
 
     def test_gates_scale_embeddings(self):
         model, x, _, _ = built_model("concatenative")
-        base = model.embed_views(x).values.copy()
+        base = embed_one(model, x).values.copy()
         model.params["gate/temperature"].values[...] = 2.0
-        doubled = model.embed_views(x).values
+        doubled = embed_one(model, x).values
         d = model.config.embed_dim
         cols = slice(d, 2 * d)  # temperature is the second view
         np.testing.assert_allclose(doubled[:, cols], 2.0 * base[:, cols], rtol=1e-12)
 
     def test_zero_rate_train_matches_eval_bitwise(self):
         model, x, _, _ = built_model("additive", embedding_dropout=0.0)
-        a = model.embed_views(x, RngStream(0))
-        b = model.embed_views(x, None)
+        a = embed_one(model, x, RngStream(0))
+        b = embed_one(model, x, None)
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_forced_mask_length_checked(self):
         model, x, _, _ = built_model("additive")
         with pytest.raises(ConfigError):
-            model.embed_views(x, (True, False))
+            embed_one(model, x, (True, False))
 
 
 class TestMaskedGradients:
@@ -338,7 +348,7 @@ class TestEmbedNode:
     @pytest.mark.parametrize("code", [24, -1])
     def test_out_of_table_code_raises(self, method, code):
         model, x, _, _ = built_model(method)
-        values = x.values.copy()
+        values = x.copy()
         values[3, 2] = code  # hour, a 24-row table
         with pytest.raises(IndexError, match=f"embedding index {code} outside table of size 24"):
             model.forward(values)
@@ -346,7 +356,7 @@ class TestEmbedNode:
     @pytest.mark.parametrize("method", METHODS)
     def test_fractional_code_raises(self, method):
         model, x, _, _ = built_model(method)
-        values = x.values.copy()
+        values = x.copy()
         values[0, 2] = 3.5
         with pytest.raises(ValueError, match="embedding indices must be integral"):
             model.forward(values)
@@ -355,7 +365,7 @@ class TestEmbedNode:
 class TestEncoderDecoder:
     def test_zero_encoder_layers_is_identity(self):
         model, x, _, _ = built_model("additive", encoder_layers=0)
-        z = model.embed_views(x)
+        z = embed_one(model, x)
         h = model.encode(z)
         np.testing.assert_array_equal(h.values, z.values)
 
@@ -389,6 +399,28 @@ class TestEncoderDecoder:
         assert len(trace.attention) == 2 * (1 + 2)
 
 
+class TestInputContract:
+    """The model's one input is the lag-row array: ``(L, F)`` for
+    ``forward``, ``(B, L, F)`` for ``forward_batch``."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_forward_is_a_batch_of_one(self, method):
+        model, x, _, _ = built_model(method)
+        assert isinstance(x, np.ndarray) and x.shape == (len(LAGS), model.n_views)
+        got = model.forward(x).values
+        np.testing.assert_array_equal(got, model.forward_batch(x[None]).values)
+        assert got.shape == (1, model.config.horizon)
+
+    @pytest.mark.parametrize(
+        "shape", [(12,), (1, 4, 3), (4, 2), (4, 4)], ids=["1d", "3d", "2_views", "4_views"]
+    )
+    def test_wrong_shape_names_the_view_count(self, shape):
+        model, _, _, _ = built_model("additive")
+        assert model.n_views == 3
+        with pytest.raises(ConfigError, match="3 views"):
+            model.forward(np.zeros(shape))
+
+
 class TestDropoutDraws:
     """A training forward draws each example's view mask, then one factor
     per sublayer; each draw advances the stream's counter by one."""
@@ -399,19 +431,19 @@ class TestDropoutDraws:
             "additive", encoder_layers=encoder_layers, decoder_layers=decoder_layers
         )
         rng = RngStream(7)
-        model.forward_batch(np.stack([x.values] * 5), rng)
+        model.forward_batch(np.stack([x] * 5), rng)
         assert rng.counter == 5 * (1 + 2 * (encoder_layers + decoder_layers))
 
     def test_embedding_dropout_only(self):
         model, x, _, _ = built_model("additive", transformer_dropout=0.0)
         rng = RngStream(7)
-        model.forward_batch(np.stack([x.values] * 5), rng)
+        model.forward_batch(np.stack([x] * 5), rng)
         assert rng.counter == 5
 
-    def test_embed_views_draws_view_mask_only(self):
+    def test_embed_draws_view_mask_only(self):
         model, x, _, _ = built_model("additive")
         rng = RngStream(7)
-        model.embed_views(x, rng)
+        embed_one(model, x, rng)
         assert rng.counter == 1
 
     @pytest.mark.parametrize(
@@ -503,7 +535,7 @@ def all_rows_forward(model, inputs, mode=None, trace=None):
 
 
 def stacked_batch(scaled, anchors=(30, 47, 60, 88, 101)):
-    return np.stack([build_input(scaled, a, LAGS).values for a in anchors])
+    return lag_rows(scaled, anchors)
 
 
 class TestDecoderTail:
