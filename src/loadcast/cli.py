@@ -22,7 +22,6 @@ from functools import partial
 
 import yaml
 
-from .autodiff import RngStream
 from .calendars import (
     calendar_specs,
     derive_calendar_views,
@@ -52,7 +51,6 @@ from .frames import (
     HOUR,
     TimeSeriesFrame,
     apply_scaler,
-    fit_scaler,
     format_timestamp,
     format_timestamps,
     inject_noise,
@@ -66,16 +64,14 @@ from .frames import (
     write_table,
 )
 from .lags import LagSet, lag_set_for_history
-from .model import Model, ModelConfig, param_count
+from .model import ModelConfig, param_count
 from .synth import synth_generate, synth_region
 from .training import (
     CvSpec,
     SplitSpec,
     TrainConfig,
-    config_fingerprint,
-    load_checkpoint,
+    restore,
     rolling_cv,
-    split_chronological,
     train,
 )
 
@@ -121,8 +117,9 @@ def _check_ranges(cfg: RunConfig) -> RunConfig:
     h = cfg.horizons
     if not (isinstance(h, tuple) and h and all(type(v) is int and v >= 1 for v in h)):
         raise ConfigError(f"horizons must be a non-empty list of integers >= 1, got {h!r}")
-    if not (isinstance(cfg.subsets, tuple) and all(s in SUBSETS for s in cfg.subsets)):
-        raise ConfigError(f"subsets must be a list drawn from {SUBSETS}, got {cfg.subsets!r}")
+    s = cfg.subsets
+    if not (isinstance(s, tuple) and s and all(v in SUBSETS for v in s)):
+        raise ConfigError(f"subsets must be a non-empty list drawn from {SUBSETS}, got {s!r}")
     for key in ("dataset", "region", "out"):
         value = getattr(cfg, key)
         if value is not None and not isinstance(value, str):
@@ -254,15 +251,7 @@ def _restore_model(cfg: RunConfig, frame, lag_set: LagSet):
     path = os.path.join(cfg.out, "checkpoint.npz")
     if not os.path.exists(path):
         raise FileNotFoundError(f"no checkpoint at {path}; run train first")
-    split = split_chronological(frame, cfg.train.split)
-    scaler = fit_scaler(frame, split.train)
-    fingerprint = config_fingerprint(cfg.model, cfg.train, frame.specs, lag_set)
-    ckpt = load_checkpoint(path, fingerprint)
-    model = Model.build(
-        cfg.model, frame.specs, RngStream(cfg.train.seed).split(0), scaler
-    )
-    model.theta[...] = ckpt.best_params if ckpt.best_params is not None else ckpt.params
-    return model, scaler, split, fingerprint
+    return restore(path, frame, cfg.model, cfg.train, lag_set)
 
 
 def _log(message: str) -> None:

@@ -34,7 +34,7 @@ class CoverageError(LoadcastError):
 
 
 class DivergenceError(LoadcastError):
-    """Training produced a non-finite loss."""
+    """Training or a forecast produced a non-finite value."""
 
 
 class FingerprintError(LoadcastError):

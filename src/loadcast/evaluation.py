@@ -10,9 +10,10 @@ together, with each chunk of all of them as one batched forward; anchors
 may stop at different horizons, and a chunk batches only the anchors that
 still need it.  ``evaluate`` rolls each anchor out once per source, to the
 longest horizon it is scored at, and every shorter horizon reads that
-rollout's first hours.  Reports aggregate per-anchor relative error over
-the full anchor set, the holiday-touching subset, and a noise-injected
-rerun.
+rollout's first hours; a non-finite forecast raises.  Reports aggregate
+per-anchor relative error over the full anchor set, the holiday-touching
+subset, and a noise-injected rerun.  The ``check_*`` rules of what may be
+scored are shared with ``training.rolling_cv``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, CoverageError, FrameTooShortError
+from .errors import ConfigError, CoverageError, DivergenceError, FrameTooShortError, IntegrityError
 from .frames import (
     Scaler,
     TimeSeriesFrame,
@@ -32,32 +33,53 @@ from .frames import (
 )
 from .lags import LagSet, _history_reads, window_faults
 from .model import Mode
-from .training import check_targets
 
 SUBSETS = ("full", "holidays", "noisy")
 DEFAULT_STRIDE = 24
+# a true load at or below this magnitude has no relative error
+MAPE_GUARD = 1e-6
 
 
-@dataclass(frozen=True)
-class HorizonSpec:
-    """Evaluation horizons in hours; each must be a multiple of the model's
-    chunk length so rollouts tile exactly."""
+def check_horizons(horizons, tau: int) -> tuple[int, ...]:
+    """``horizons`` as a tuple: at least one, each a positive multiple of the
+    chunk length ``tau`` so that rollouts tile exactly."""
+    horizons = tuple(horizons)
+    if not horizons:
+        raise ConfigError("need at least one horizon")
+    for h in horizons:
+        if h < 1:
+            raise ConfigError(f"horizon must be positive, got {h}")
+    for h in horizons:
+        if h % tau:
+            raise ConfigError(f"horizon {h} is not a multiple of the chunk length {tau}")
+    return horizons
 
-    horizons: tuple[int, ...] = (24, 48, 168)
 
-    def __post_init__(self):
-        if not self.horizons:
-            raise ConfigError("need at least one horizon")
-        for h in self.horizons:
-            if h < 1:
-                raise ConfigError(f"horizon must be positive, got {h}")
+def check_subsets(subsets) -> tuple[str, ...]:
+    """``subsets`` as a tuple: at least one, each from ``SUBSETS``."""
+    subsets = tuple(subsets)
+    if not subsets:
+        raise ConfigError("need at least one subset")
+    unknown = set(subsets) - set(SUBSETS)
+    if unknown:
+        raise ConfigError(f"unknown subsets: {sorted(unknown)}")
+    return subsets
 
-    def validate_chunks(self, tau: int) -> None:
-        for h in self.horizons:
-            if h % tau:
-                raise ConfigError(
-                    f"horizon {h} is not a multiple of the chunk length {tau}"
-                )
+
+def check_targets(
+    frame: TimeSeriesFrame, raw_load: np.ndarray, anchors: np.ndarray, horizon: int
+) -> None:
+    """Raise a data error at the earliest hour of the anchors' target
+    windows whose true load is too near zero for a relative error."""
+    rows = np.unique(np.asarray(anchors)[:, None] + np.arange(1, horizon + 1))
+    bad = np.abs(raw_load[rows]) <= MAPE_GUARD
+    if bad.any():
+        row = rows[bad.argmax()]
+        raise IntegrityError(
+            f"feature {frame.target_name!r} at {format_timestamp(frame.timestamps[row])}: "
+            f"value {float(raw_load[row])!r} is not above {MAPE_GUARD}; "
+            f"relative error undefined"
+        )
 
 
 @dataclass
@@ -131,7 +153,8 @@ def _rollout(
     rows ``x`` ``(anchors, L, F)`` to scaled forecasts ``(anchors, tau)``.
     Lag rows past an anchor read that anchor's earlier forecasts in the
     target column, never the true future load; their exogenous and calendar
-    values are taken as known.
+    values are taken as known.  A non-finite forecast raises
+    ``DivergenceError`` naming the first such anchor and hour.
     """
     if np.any(np.asarray(horizon) < 1):
         raise ValueError(f"horizon must be >= 1, got {np.min(horizon)}")
@@ -151,7 +174,14 @@ def _rollout(
         ahead = c * tau - lags  # hours past the anchor of each lag row
         fed = ahead > 0
         x[:, fed, tcol] = out[live[:, None], ahead[fed] - 1]
-        out[live, c * tau : (c + 1) * tau] = predict(x)
+        pred = predict(x)
+        if not np.isfinite(pred).all():
+            i, j = np.argwhere(~np.isfinite(pred))[0]
+            stamp = format_timestamp(scaled.timestamps[anchors[live[i]]])
+            raise DivergenceError(
+                f"non-finite forecast from anchor {stamp} at hour {c * tau + j + 1}"
+            )
+        out[live, c * tau : (c + 1) * tau] = pred
     stats = scaler.stats[scaled.target_name]
     return out[:, :width] * stats.std + stats.mean
 
@@ -250,8 +280,8 @@ def evaluate(
     frame: TimeSeriesFrame,
     scaler: Scaler,
     rng: tuple[int, int],
+    lag_set: LagSet,
     horizons=(24, 48, 168),
-    lag_set: LagSet | None = None,
     stride: int = DEFAULT_STRIDE,
     noise_seed: int = 0,
     subsets=SUBSETS,
@@ -265,22 +295,15 @@ def evaluate(
     source, to the longest horizon whose anchor set holds it; a shorter
     horizon's cells read the first hours of that rollout.
     """
-    if lag_set is None:
-        from .lags import lag_set_for_history
-
-        lag_set = lag_set_for_history(frame.n_rows)
-    unknown = set(subsets) - set(SUBSETS)
-    if unknown:
-        raise ConfigError(f"unknown subsets: {sorted(unknown)}")
+    subsets = check_subsets(subsets)
     tau = model.config.horizon
-    spec = HorizonSpec(tuple(horizons))
-    spec.validate_chunks(tau)
+    horizons = check_horizons(horizons, tau)
 
     raw_load = frame.values[:, frame.target_index]
     holiday_col = _holiday_column(frame)
     anchor_sets = {
         h: evaluation_anchors(frame, rng, h, tau, lag_set, stride)
-        for h in spec.horizons
+        for h in horizons
     }
     for horizon, anchors in anchor_sets.items():
         check_targets(frame, raw_load, anchors, horizon)
@@ -300,12 +323,10 @@ def evaluate(
         for name, source in sources.items()
     }
 
-    n_params_fn = getattr(model, "n_params", None)
-    total_params = int(n_params_fn()) if callable(n_params_fn) else 0
     report = MetricsReport(
         method=model.config.method,
         fingerprint=fingerprint,
-        param_counts={"total": total_params},
+        param_counts={"total": model.n_params()},
     )
 
     for horizon, anchors in anchor_sets.items():

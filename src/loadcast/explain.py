@@ -27,7 +27,7 @@ from .frames import (
     write_json,
     write_table,
 )
-from .lags import LagSet, lag_set_for_history
+from .lags import LagSet
 from .model import Model, forced_keep
 
 _DEFAULT_MEMBERSHIP = (
@@ -136,12 +136,10 @@ def isolation_panels(
     groups,
     rng: tuple[int, int],
     horizon: int,
-    lag_set: LagSet | None = None,
+    lag_set: LagSet,
 ) -> list[PanelSeries]:
     """The combined series plus one panel per group, from one scaled frame."""
     validate_groups(groups, model.specs)
-    if lag_set is None:
-        lag_set = lag_set_for_history(frame.n_rows)
     scaled = apply_scaler(frame, scaler)
     return [
         _panel(model, scaled, scaler, group, rng, horizon, lag_set)
@@ -173,10 +171,10 @@ def dump_embeddings(model: Model) -> EmbeddingDump:
     method carry no per-category cells and report their affine norms.
     """
     dump = EmbeddingDump(method=model.config.method)
-    for spec in model.specs:
+    for spec, view, gate in zip(model.specs, model.views, model.gates):
         entry: dict = {"view": spec.name, "kind": spec.kind}
-        if spec.kind == CATEGORICAL or model.config.method == "svd":
-            table = model.params[f"embed/{spec.name}/table"].values
+        if len(view) == 1:
+            table = view[0].values
             if table.shape[1] == 1:
                 cells = [float(v) for v in table[:, 0]]
             else:
@@ -192,14 +190,11 @@ def dump_embeddings(model: Model) -> EmbeddingDump:
                 ]
                 entry["units"] = "scaled"
         else:
-            entry["weight_norm"] = float(
-                np.linalg.norm(model.params[f"embed/{spec.name}/w"].values)
-            )
-            entry["bias_norm"] = float(
-                np.linalg.norm(model.params[f"embed/{spec.name}/b"].values)
-            )
+            w, b = view
+            entry["weight_norm"] = float(np.linalg.norm(w.values))
+            entry["bias_norm"] = float(np.linalg.norm(b.values))
         dump.views.append(entry)
-        dump.gates[spec.name] = float(model.params[f"gate/{spec.name}"].item())
+        dump.gates[spec.name] = float(gate.item())
     return dump
 
 
@@ -212,14 +207,6 @@ class SvdReport:
     # each entry: {"matrix": name, "shape": [m, n], "singular_values": [...],
     #              "reconstruction_error": float}
     entries: list[dict] = field(default_factory=list)
-
-
-def _view_matrix(model: Model, spec) -> np.ndarray:
-    if spec.kind == CATEGORICAL or model.config.method == "svd":
-        return model.params[f"embed/{spec.name}/table"].values
-    w = model.params[f"embed/{spec.name}/w"].values
-    b = model.params[f"embed/{spec.name}/b"].values
-    return np.vstack([w, b])
 
 
 def svd_embeddings(model: Model) -> SvdReport:
@@ -240,8 +227,8 @@ def svd_embeddings(model: Model) -> SvdReport:
         )
 
     stacked = []
-    for spec in model.specs:
-        matrix = _view_matrix(model, spec)
+    for spec, view in zip(model.specs, model.views):
+        matrix = np.vstack([p.values for p in view])  # a table, or w over b
         add(spec.name, matrix)
         stacked.append(matrix)
     add("stacked", np.vstack(stacked))

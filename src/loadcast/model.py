@@ -193,15 +193,16 @@ class Model:
         if len(targets) != 1:
             raise ConfigError(f"need exactly one target view, got {len(targets)}")
         self.target_view = targets[0]
-        # what ad.embed reads per view: a table, for every view under svd
-        # (continuous ones quantized first), or an affine map
+        # each view's embedding parameters, as ad.embed and explain read
+        # them: (table,) for a categorical view and for every view under
+        # svd (continuous ones quantized first), else the affine (w, b)
         svd = config.method == "svd"
-        self._views = tuple(
+        self.views = tuple(
             (params[f"embed/{s.name}/table"],) if svd or s.kind == CATEGORICAL
             else (params[f"embed/{s.name}/w"], params[f"embed/{s.name}/b"])
             for s in self.specs
         )
-        self._gates = tuple(params[f"gate/{s.name}"] for s in self.specs)
+        self.gates = tuple(params[f"gate/{s.name}"] for s in self.specs)
         self._binned = [i for i, s in enumerate(self.specs) if svd and s.kind == CONTINUOUS]
 
     # ------------------------------------------------------------------
@@ -361,7 +362,7 @@ class Model:
                 raise ConfigError(f"no fitted quantizer for view {self.specs[i].name!r}")
             x[:, i] = q.index(x[:, i])
         mask = None if keep.all() else np.repeat(keep, len(x) // len(keep), axis=0)
-        return ad.embed(x, self._views, self._gates, mask, self.config.method == "additive")
+        return ad.embed(x, self.views, self.gates, mask, self.config.method == "additive")
 
     def _multi_head(
         self,

@@ -5,7 +5,9 @@ error on scaled loads is available as an alternative), with AdamW under a
 cosine-annealed learning rate.  Batches sweep anchors in chronological
 order with no shuffling.  Every stochastic choice flows through named
 counter-based rng streams, so runs are reproducible bitwise and resumable
-from checkpoints.
+from checkpoints.  A run's set-up (scaler, initial model, fingerprint) is
+made by :func:`_start` alone, for ``train``, each ``rolling_cv`` fold and
+:func:`restore`, so a restored model is built as its run built it.
 """
 from __future__ import annotations
 
@@ -19,14 +21,14 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Mat, RngStream
-from .errors import DivergenceError, FingerprintError, FrameTooShortError, IntegrityError
-from .frames import (
-    Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, format_timestamp, read_npz, write_npz,
+from .errors import DivergenceError, FingerprintError, FrameTooShortError
+from .evaluation import (
+    MAPE_GUARD, SUBSETS, MetricsReport, check_horizons, check_subsets, check_targets, evaluate,
 )
-from .lags import LagSet, build_batch, lag_set_for_history, valid_timestamps
+from .frames import Scaler, TimeSeriesFrame, apply_scaler, fit_scaler, read_npz, write_npz
+from .lags import LagSet, build_batch, valid_timestamps
 from .model import Mode, Model, ModelConfig
 
-MAPE_GUARD = 1e-6
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -63,22 +65,6 @@ def mape(y, y_hat) -> float:
         raise ValueError("mape of empty arrays")
     _guard_targets(y)
     return float(100.0 * np.mean(np.abs(y - y_hat) / np.abs(y)))
-
-
-def check_targets(
-    frame: TimeSeriesFrame, raw_load: np.ndarray, anchors: np.ndarray, horizon: int
-) -> None:
-    """Raise a data error at the earliest hour of the anchors' target
-    windows whose true load is too near zero for a relative error."""
-    rows = np.unique(np.asarray(anchors)[:, None] + np.arange(1, horizon + 1))
-    bad = np.abs(raw_load[rows]) <= MAPE_GUARD
-    if bad.any():
-        row = rows[bad.argmax()]
-        raise IntegrityError(
-            f"feature {frame.target_name!r} at {format_timestamp(frame.timestamps[row])}: "
-            f"value {float(raw_load[row])!r} is not above {MAPE_GUARD}; "
-            f"relative error undefined"
-        )
 
 
 def mape_loss(pred: Mat, y: np.ndarray) -> Mat:
@@ -397,7 +383,8 @@ def fit(
 ) -> tuple[np.ndarray, list[dict], int | None, float | None]:
     """Inner loop over prepared anchors; returns (final parameter vector,
     history, best epoch, best val loss) and leaves the best params on
-    ``model``.  A ``resume`` checkpoint is trained on in place."""
+    ``model``.  A ``resume`` checkpoint, already matched to ``fingerprint``,
+    is trained on in place."""
     tc = train_config
     horizon = model.config.horizon
     target = scaled.target_name
@@ -410,8 +397,6 @@ def fit(
         adam = AdamState(np.zeros_like(theta), np.zeros_like(theta))
         rng = (dropout_rng or RngStream(tc.seed).split(1)).state()
         state = Checkpoint(fingerprint, 0, shapes, theta, adam, rng, None, None, None, [])
-    elif state.fingerprint != fingerprint:
-        raise FingerprintError("resume checkpoint was produced by a different configuration")
     theta[...] = state.params
     state.params = theta
     dropout_rng = RngStream.from_state(state.rng_state)
@@ -480,11 +465,26 @@ def fit(
     return final, state.history, state.best_epoch, state.best_val
 
 
+def _start(
+    frame: TimeSeriesFrame,
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    lag_set: LagSet,
+    rows: tuple[int, int],
+    stream: tuple[int, ...] = (0,),
+) -> tuple[Scaler, Model, str]:
+    """A run's set-up: the scaler fitted on ``rows``, a fresh model drawn
+    from the seed stream at ``stream``, and the run's fingerprint."""
+    scaler = fit_scaler(frame, rows)
+    model = Model.build(model_config, frame.specs, RngStream(train_config.seed, stream), scaler)
+    return scaler, model, config_fingerprint(model_config, train_config, frame.specs, lag_set)
+
+
 def train(
     frame: TimeSeriesFrame,
     model_config: ModelConfig,
     train_config: TrainConfig,
-    lag_set: LagSet | None = None,
+    lag_set: LagSet,
     checkpoint_path=None,
     resume_path=None,
     log=None,
@@ -497,11 +497,8 @@ def train(
     """
     tc = train_config
     split = split_chronological(frame, tc.split)
-    if lag_set is None:
-        lag_set = lag_set_for_history(frame.n_rows)
     horizon = model_config.horizon
-
-    scaler = fit_scaler(frame, split.train)
+    scaler, model, fingerprint = _start(frame, model_config, tc, lag_set, split.train)
     scaled = apply_scaler(frame, scaler)
     raw_load = frame.values[:, frame.target_index].copy()
 
@@ -512,10 +509,6 @@ def train(
     val = eval_anchors(frame, lag_set, horizon, *split.val)
     val = val[:: tc.val_stride]
 
-    fingerprint = config_fingerprint(model_config, tc, frame.specs, lag_set)
-    model = Model.build(
-        model_config, frame.specs, RngStream(tc.seed).split(0), scaler
-    )
     resume = None
     if resume_path is not None:
         resume = load_checkpoint(resume_path, fingerprint)
@@ -526,18 +519,8 @@ def train(
             f"{len(val)} validation anchors, {model.n_params()} params"
         )
     final, history, best_epoch, best_val = fit(
-        scaled,
-        raw_load,
-        model,
-        anchors,
-        val,
-        tc,
-        lag_set,
-        scaler,
-        fingerprint,
-        checkpoint_path,
-        resume,
-        log=log,
+        scaled, raw_load, model, anchors, val, tc, lag_set, scaler, fingerprint,
+        checkpoint_path, resume, log=log,
     )
     return TrainResult(
         model=model,
@@ -550,6 +533,23 @@ def train(
         best_val=best_val,
         fingerprint=fingerprint,
     )
+
+
+def restore(
+    path,
+    frame: TimeSeriesFrame,
+    model_config: ModelConfig,
+    train_config: TrainConfig,
+    lag_set: LagSet,
+) -> tuple[Model, Scaler, Split, str]:
+    """(model, scaler, split, fingerprint) of the run :func:`train` saved at
+    ``path``, set up as ``train`` set it up, with its best parameters (its
+    last when it kept none); another configuration raises FingerprintError."""
+    split = split_chronological(frame, train_config.split)
+    scaler, model, fingerprint = _start(frame, model_config, train_config, lag_set, split.train)
+    ckpt = load_checkpoint(path, fingerprint)
+    model.theta[...] = ckpt.best_params if ckpt.best_params is not None else ckpt.params
+    return model, scaler, split, fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +574,7 @@ class Fold:
     index: int
     train: tuple[int, int]
     test: tuple[int, int]
-    report: "object"  # MetricsReport; kept loose to avoid an import cycle
+    report: MetricsReport
 
 
 @dataclass
@@ -610,69 +610,42 @@ def rolling_cv(
     frame: TimeSeriesFrame,
     model_config: ModelConfig,
     train_config: TrainConfig,
+    lag_set: LagSet,
     cv: CvSpec = CvSpec(),
-    lag_set: LagSet | None = None,
     horizons=None,
     stride: int = 24,
     noise_seed: int = 0,
     log=None,
-    subsets=None,
+    subsets=SUBSETS,
 ) -> CvResult:
     """Train a fresh model per fold and score it on the following month.
 
-    ``horizons`` (default: the model's chunk length) and ``subsets``
-    (default: all three) are scored as :func:`evaluate` scores them; a
-    horizon that is not a multiple of the chunk length is refused before
+    ``horizons`` (default: the model's chunk length) and ``subsets`` are
+    scored as :func:`evaluate` scores them, and checked by its rules before
     any fold trains.
     """
-    from .evaluation import SUBSETS, HorizonSpec, evaluate  # circular at module level
-
     tc = train_config
-    if lag_set is None:
-        lag_set = lag_set_for_history(frame.n_rows)
     horizon = model_config.horizon
-    spec = HorizonSpec((horizon,) if horizons is None else tuple(horizons))
-    spec.validate_chunks(horizon)
-    horizons = spec.horizons
-    subsets = SUBSETS if subsets is None else tuple(subsets)
+    horizons = check_horizons((horizon,) if horizons is None else horizons, horizon)
+    subsets = check_subsets(subsets)
     geometry = cv_folds(frame.n_rows, lag_set.max_lag, cv)
     raw_load = frame.values[:, frame.target_index].copy()
 
     folds = []
     for k, (train_range, test_range) in enumerate(geometry):
-        scaler = fit_scaler(frame, train_range)
+        scaler, model, fingerprint = _start(frame, model_config, tc, lag_set, train_range, (2, k))
         scaled = apply_scaler(frame, scaler)
         # targets inside the fold's train window; lags may read the warm-up
         anchors = eval_anchors(frame, lag_set, horizon, *train_range)
-        fingerprint = config_fingerprint(model_config, tc, frame.specs, lag_set)
-        model = Model.build(
-            model_config, frame.specs, RngStream(tc.seed, (2, k)), scaler
-        )
         if log is not None:
             log(f"fold {k}: train {train_range}, test {test_range}")
         fit(
-            scaled,
-            raw_load,
-            model,
-            anchors,
-            None,
-            tc,
-            lag_set,
-            scaler,
-            fingerprint,
-            dropout_rng=RngStream(tc.seed, (3, k)),
-            log=log,
+            scaled, raw_load, model, anchors, None, tc, lag_set, scaler, fingerprint,
+            dropout_rng=RngStream(tc.seed, (3, k)), log=log,
         )
         report = evaluate(
-            model,
-            frame,
-            scaler,
-            test_range,
-            horizons=horizons,
-            lag_set=lag_set,
-            stride=stride,
-            noise_seed=noise_seed,
-            subsets=subsets,
+            model, frame, scaler, test_range, lag_set,
+            horizons=horizons, stride=stride, noise_seed=noise_seed, subsets=subsets,
         )
         folds.append(Fold(k, train_range, test_range, report))
 

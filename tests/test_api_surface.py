@@ -1,11 +1,15 @@
 """Every public function, class and method of the package has a caller
-outside the tests.
+outside the tests, and no module of the package imports itself through
+others.
 
 A public name (no leading underscore) defined at the top level of a
 ``src/loadcast`` module, or as a method of a top-level class, must appear in
 ``src/``, ``demos/`` or ``perfbench/`` somewhere other than a line that
 defines it.  API that only tests reach is dead weight: delete it, or make it
 private and call it from the tests as such.
+
+An import cycle, even one broken by an import inside a function, means two
+modules each own part of one decision; move the shared part to one of them.
 """
 import ast
 import re
@@ -65,3 +69,47 @@ def test_every_public_name_has_a_caller_outside_tests():
 
 def test_the_allowlist_names_existing_definitions():
     assert ALLOWED <= set(public_definitions())
+
+
+def relative_imports():
+    """``{module: {modules it imports}}`` over every relative import in
+    ``src/loadcast``, those inside functions included."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        targets = graph.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:  # from . import a, b
+                    targets.update(alias.name for alias in node.names)
+                else:
+                    targets.add(node.module.split(".")[0])
+    return graph
+
+
+def import_cycles(graph):
+    """Every simple cycle, as its modules from the alphabetically first one
+    round to it again."""
+    cycles = []
+
+    def walk(path):
+        for nxt in sorted(graph.get(path[-1], ())):
+            if nxt == path[0]:
+                cycles.append(" → ".join(path + [nxt]))
+            elif nxt > path[0] and nxt not in path:
+                walk(path + [nxt])
+
+    for start in sorted(graph):
+        walk([start])
+    return cycles
+
+
+def test_cycle_search_names_each_cycle_once():
+    graph = {"a": {"b"}, "b": {"a", "c"}, "c": {"b"}, "d": {"d"}}
+    assert import_cycles(graph) == ["a → b → a", "b → c → b", "d → d"]
+
+
+def test_no_import_cycles():
+    graph = relative_imports()
+    assert "training" in graph["cli"]  # the walk sees the package's imports
+    cycles = import_cycles(graph)
+    assert cycles == [], f"import cycles: {cycles}"

@@ -20,6 +20,7 @@ from loadcast.cli import (
     main,
 )
 from loadcast.errors import ConfigError
+from loadcast.training import load_checkpoint, save_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -170,6 +171,17 @@ class TestConfigLoading:
         bad = config_with(config, tmp_path / "bad.yaml", **{key: value})
         assert main(["evaluate", "--config", str(bad)]) == EXIT_USAGE
         assert f"error: {key} must be " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "cv"])
+    def test_empty_subsets_is_usage(self, workspace, tmp_path, capsys, command):
+        ws, config = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(ws / "run" / "checkpoint.npz", run)
+        bad = config_with(config, tmp_path / "bad.yaml", subsets="[]", out=run)
+        assert main([command, "--config", str(bad)]) == EXIT_USAGE
+        assert "error: subsets must be a non-empty list" in capsys.readouterr().err
+        assert sorted(os.listdir(run)) == ["checkpoint.npz"]
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -675,6 +687,26 @@ class TestCheckpointVersion:
         np.savez(run / "checkpoint.npz", **arrays)
         assert main(["evaluate", "--config", str(config), "--out", str(run)]) == EXIT_FINGERPRINT
         assert "checkpoint version 1, expected 2" in capsys.readouterr().err
+
+
+class TestNonFiniteForecast:
+    def test_nan_head_bias_is_a_data_error_naming_anchor_and_hour(
+        self, workspace, tmp_path, capsys
+    ):
+        ws, config = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        ckpt = load_checkpoint(ws / "run" / "checkpoint.npz")
+        ckpt.params[-1] = ckpt.best_params[-1] = np.nan  # the last hour's head bias
+        save_checkpoint(run / "checkpoint.npz", ckpt)
+        for command in ("forecast", "evaluate", "explain"):
+            code = main([command, "--config", str(config), "--out", str(run)])
+            err = capsys.readouterr().err
+            assert code == EXIT_DATA, err
+            assert "error: non-finite forecast from anchor 2018-" in err
+            assert err.endswith(" at hour 6\n")
+        assert not (run / "forecast.csv").exists()
+        assert not (run / "report.json").exists()
 
 
 class TestBrokenCheckpoint:

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from loadcast.autodiff import Mat, RngStream
-from loadcast.errors import ConfigError, CoverageError, FrameTooShortError
+from loadcast.errors import ConfigError, CoverageError, DivergenceError, FrameTooShortError
 from loadcast.evaluation import (
-    HorizonSpec,
+    check_horizons,
     evaluate,
     evaluation_anchors,
     forecast_rollout,
@@ -95,14 +95,14 @@ def row_mask(n, rows, cols=1):
 class TestHorizonSpec:
     def test_rejects_empty_and_nonpositive(self):
         with pytest.raises(ConfigError):
-            HorizonSpec(())
+            check_horizons((), 24)
         with pytest.raises(ConfigError):
-            HorizonSpec((24, 0))
+            check_horizons((24, 0), 24)
 
     def test_chunk_tiling(self):
-        HorizonSpec((24, 48, 168)).validate_chunks(24)
+        check_horizons((24, 48, 168), 24)
         with pytest.raises(ConfigError, match="not a multiple"):
-            HorizonSpec((30,)).validate_chunks(24)
+            check_horizons((30,), 24)
 
 
 class TestSeasonalNaive:
@@ -453,6 +453,14 @@ class TestBatchedRollout:
         model, scaled, scaler = self.built()
         with pytest.raises(ValueError, match="horizon must be >= 1, got 0"):
             forecast_rollout_batch(model, scaled, [150, 160], [6, 0], LAGS, scaler)
+
+    def test_non_finite_forecast_names_anchor_and_hour(self):
+        model, scaled, scaler = self.built()
+        model.params["head/b"].values[0, -1] = np.nan  # hour 6 of every chunk
+        with pytest.raises(DivergenceError) as info:
+            forecast_rollout_batch(model, scaled, self.ANCHORS, 12, LAGS, scaler)
+        stamp = format_timestamp(scaled.timestamps[self.ANCHORS[0]])
+        assert str(info.value) == f"non-finite forecast from anchor {stamp} at hour 6"
 
     @pytest.mark.parametrize("method", ["additive", "svd"])
     def test_evaluate_rolls_each_anchor_once(self, method):

@@ -4,9 +4,9 @@ import pytest
 
 from loadcast import autodiff as ad
 from loadcast.autodiff import Mat, RngStream
-from loadcast.errors import DivergenceError, FingerprintError, FrameTooShortError
+from loadcast.errors import ConfigError, DivergenceError, FingerprintError, FrameTooShortError
 from loadcast.frames import apply_scaler, fit_scaler
-from loadcast.lags import LagSet, build_batch, valid_timestamps
+from loadcast.lags import LagSet, build_batch, lag_set_for_history, valid_timestamps
 from loadcast.model import Model, ModelConfig, forced_keep
 from loadcast.synth import synth_generate
 from loadcast.training import (
@@ -28,6 +28,7 @@ from loadcast.training import (
     mape,
     mape_loss,
     mse_loss,
+    restore,
     rolling_cv,
     save_checkpoint,
     split_chronological,
@@ -401,7 +402,10 @@ class TestTrainLoop:
         # a 1,440-h window holds no anchor whose 8,760-h lag stays inside it
         frame = synth_generate(455, 1)
         split = SplitSpec(test_hours=720, val_hours=720, max_train_hours=1440)
-        result = train(frame, small_model_config(), small_train_config(epochs=1, split=split))
+        result = train(
+            frame, small_model_config(), small_train_config(epochs=1, split=split),
+            lag_set=lag_set_for_history(frame.n_rows),
+        )
         assert result.lag_set.max_lag == 8760
         assert np.isfinite(result.history[0]["train_loss"])
 
@@ -503,6 +507,21 @@ class TestCheckpoints:
         np.testing.assert_array_equal(loaded.best_params, result.model.theta)
         assert loaded.adam.m.shape == loaded.adam.v.shape == result.model.theta.shape
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"method": "svd", "d": None, "heads": 1}], ids=["additive", "svd"]
+    )
+    def test_restore_rebuilds_the_trained_model(self, tmp_path, overrides):
+        frame = small_frame(n=400, seed=8)
+        mc = small_model_config(**overrides)
+        tc = small_train_config(epochs=2)
+        ck = tmp_path / "a.npz"
+        result = train(frame, mc, tc, SMALL_LAGS, checkpoint_path=str(ck))
+        model, scaler, split, fingerprint = restore(ck, frame, mc, tc, SMALL_LAGS)
+        assert model.theta.tobytes() == result.model.theta.tobytes()
+        assert scaler.stats == result.scaler.stats
+        assert split == result.split
+        assert fingerprint == result.fingerprint
+
 
 class TestCvGeometry:
     def test_twelve_usable_months_make_ten_folds(self):
@@ -556,6 +575,17 @@ class TestRollingCv:
         result = rolling_cv(frame, mc, tc, lag_set=LagSet((8760, 24, 1)), horizons=(24,))
         assert [(f.train, f.test) for f in result.folds] == [((8760, 10200), (10200, 10920))]
         assert result.folds[0].report.cells[(24, "full")]["anchors"] > 0
+
+    @pytest.mark.parametrize("subsets", [(), ("full", "weekend")])
+    def test_bad_subsets_refused_before_any_fold_trains(self, subsets):
+        frame = small_frame(n=24 * 130, seed=9)
+        logged = []
+        with pytest.raises(ConfigError, match="subset"):
+            rolling_cv(
+                frame, small_model_config(horizon=6), small_train_config(epochs=1),
+                lag_set=SMALL_LAGS, horizons=(6,), log=logged.append, subsets=subsets,
+            )
+        assert logged == []
 
 
 class TestAtomicCheckpoint:
