@@ -17,6 +17,7 @@ from .frames import (
     CATEGORICAL,
     FeatureSpec,
     TimeSeriesFrame,
+    read_yaml,
 )
 
 CALENDAR_VIEWS = ("hour", "weekday", "month", "season", "holiday", "school_period")
@@ -53,17 +54,39 @@ class CalendarConfig:
 
 
 def load_region(path) -> CalendarConfig:
-    """Read a region table from a YAML (or JSON) config file."""
+    """Read a region table from a YAML (or JSON) config file.
+
+    A section of the wrong shape raises ``ConfigError`` naming the file
+    and the key: ``holidays`` must map dates to ids, and ``school_periods``
+    must list mappings that each hold a ``start`` and an ``end``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"region table not found: {path}")
-    with path.open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh) or {}
-    holidays = {str(k): int(v) for k, v in (raw.get("holidays") or {}).items()}
-    periods = tuple(
-        (str(p["start"]), str(p["end"])) for p in (raw.get("school_periods") or [])
+    raw = read_yaml(path, "region table")
+    holidays = raw.get("holidays") or {}
+    if not isinstance(holidays, dict):
+        raise ConfigError(
+            f"region table {path}: holidays must map dates to ids, got {holidays!r}"
+        )
+    try:
+        ids = {str(k): int(v) for k, v in holidays.items()}
+    except (TypeError, ValueError):
+        raise ConfigError(
+            f"region table {path}: holiday ids must be integers, got {holidays!r}"
+        ) from None
+    periods = raw.get("school_periods") or []
+    if not (
+        isinstance(periods, list)
+        and all(isinstance(p, dict) and {"start", "end"} <= p.keys() for p in periods)
+    ):
+        raise ConfigError(
+            f"region table {path}: school_periods must list mappings with a start "
+            f"and an end, got {periods!r}"
+        )
+    return CalendarConfig(
+        holidays=ids,
+        school_periods=tuple((str(p["start"]), str(p["end"])) for p in periods),
     )
-    return CalendarConfig(holidays=holidays, school_periods=periods)
 
 
 def write_region(config: CalendarConfig, path) -> None:

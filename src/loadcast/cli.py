@@ -18,9 +18,7 @@ import os
 import sys
 import zipfile
 from dataclasses import dataclass, field, replace
-from functools import partial
-
-import yaml
+from functools import cache, partial
 
 from .calendars import (
     calendar_specs,
@@ -57,6 +55,7 @@ from .frames import (
     load_csv,
     parse_timestamp,
     read_npz,
+    read_yaml,
     standard_schema,
     table_cells,
     write_csv,
@@ -142,10 +141,7 @@ def _build_section(cls, section: dict, name: str):
 def load_run_config(path) -> RunConfig:
     if not os.path.exists(path):
         raise FileNotFoundError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
-    if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a mapping at top level")
+    doc = read_yaml(path, "config file")
 
     known = {f for f in RunConfig.__dataclass_fields__}
     unknown = set(doc) - known
@@ -468,6 +464,7 @@ def cmd_params(cfg: RunConfig | None, args) -> int:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+@cache  # built once per process: parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loadcast",

@@ -16,8 +16,10 @@ from itertools import compress
 from pathlib import Path
 
 import numpy as np
+import yaml
 
 from .errors import (
+    ConfigError,
     DegenerateFeatureError,
     IntegrityError,
     ParseError,
@@ -141,17 +143,16 @@ class TimeSeriesFrame:
             raise SchemaError(f"exactly one target feature required, got {len(targets)}")
 
         vals[miss] = np.nan
-        present = ~miss
-        if not np.all(np.isfinite(vals[present])):
+        if not (np.isfinite(vals) | miss).all():
             raise IntegrityError("non-missing cells must be finite")
-        for j, spec in enumerate(specs):
-            if spec.kind != CATEGORICAL:
-                continue
-            col = vals[present[:, j], j]
-            k = _first_bad_category(col, spec.cardinality)
-            if k is None:
-                continue
-            if col[k] != np.trunc(col[k]):
+        cats = [j for j, s in enumerate(specs) if s.kind == CATEGORICAL]
+        block = vals[:, cats]
+        cards = np.array([specs[j].cardinality for j in cats])
+        bad = _bad_categories(block, cards) & ~miss[:, cats]
+        if bad.any():  # the first faulty column in spec order, its first bad row
+            c = int(bad.any(axis=0).argmax())
+            spec, value = specs[cats[c]], block[bad[:, c].argmax(), c]
+            if value != np.trunc(value):
                 raise SchemaError(f"categorical feature {spec.name!r} has non-integer values")
             raise SchemaError(
                 f"categorical feature {spec.name!r} outside [0, {spec.cardinality})"
@@ -269,9 +270,15 @@ def forward_fill(frame: TimeSeriesFrame) -> TimeSeriesFrame:
     return frame.with_values(values, last < 0)
 
 
+def _bad_categories(values: np.ndarray, cardinality) -> np.ndarray:
+    """True where a value is not an integer in [0, cardinality); an array of
+    cardinalities applies one to each column of a 2-D ``values``."""
+    return ~((values == np.trunc(values)) & (values >= 0) & (values < cardinality))
+
+
 def _first_bad_category(col: np.ndarray, cardinality: int) -> int | None:
     """Index of the first value in ``col`` that is not an integer in [0, cardinality)."""
-    bad = ~((col == np.trunc(col)) & (col >= 0) & (col < cardinality))
+    bad = _bad_categories(col, cardinality)
     return int(bad.argmax()) if bad.any() else None
 
 
@@ -445,6 +452,29 @@ def write_json(path, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# libyaml's C parser when PyYAML was built with it; both loaders construct
+# through SafeConstructor, so they build the same objects from the same text
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(path, what: str) -> dict:
+    """The mapping a YAML file holds, ``{}`` if the file is empty.
+
+    Every YAML file the package reads goes through here.  Malformed YAML
+    and a top-level value that is not a mapping raise ``ConfigError``
+    naming ``what`` and the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{what} {path} is not valid YAML: {exc}") from None
+    if doc is None:
+        return {}
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} {path} must hold a mapping at top level")
+    return doc
 
 
 def write_npz(path, arrays: dict) -> None:

@@ -44,17 +44,6 @@ CHECKPOINT_VERSION = 2
 # losses
 # ---------------------------------------------------------------------------
 
-def _guard_targets(y: np.ndarray) -> None:
-    flat = np.abs(y.reshape(-1))
-    bad = np.nonzero(flat <= MAPE_GUARD)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise ValueError(
-            f"target magnitude {flat[i]!r} at index {i} is not above "
-            f"{MAPE_GUARD}; relative error undefined"
-        )
-
-
 def mape(y, y_hat) -> float:
     """Mean absolute percentage error: (100/N) sum |y - y_hat| / |y|."""
     y = np.asarray(y, dtype=np.float64)
@@ -63,14 +52,22 @@ def mape(y, y_hat) -> float:
         raise ValueError(f"shape mismatch {y.shape} vs {y_hat.shape}")
     if y.size == 0:
         raise ValueError("mape of empty arrays")
-    _guard_targets(y)
+    flat = np.abs(y.reshape(-1))
+    bad = np.nonzero(flat <= MAPE_GUARD)[0]
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"target magnitude {flat[i]!r} at index {i} is not above "
+            f"{MAPE_GUARD}; relative error undefined"
+        )
     return float(100.0 * np.mean(np.abs(y - y_hat) / np.abs(y)))
 
 
 def mape_loss(pred: Mat, y: np.ndarray) -> Mat:
-    """Differentiable counterpart of :func:`mape`; ``y`` is constant."""
+    """Differentiable counterpart of :func:`mape`; ``y`` is constant.  Its
+    targets must be above ``MAPE_GUARD``: ``fit`` clears every anchor's
+    targets with ``evaluation.check_targets`` before training."""
     y = np.asarray(y, dtype=np.float64).reshape(pred.shape)
-    _guard_targets(y)
     rel = ad.mul(ad.absolute(ad.sub(pred, Mat(y))), Mat(1.0 / np.abs(y)))
     return ad.scale(ad.mean(rel), 100.0)
 

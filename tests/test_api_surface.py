@@ -10,6 +10,10 @@ private and call it from the tests as such.
 
 An import cycle, even one broken by an import inside a function, means two
 modules each own part of one decision; move the shared part to one of them.
+
+YAML is read only through ``frames.read_yaml``, which picks libyaml's parser
+when it is there and turns malformed YAML into a usage error; a second
+``yaml.load`` or ``yaml.safe_load`` would skip both.
 """
 import ast
 import re
@@ -113,3 +117,37 @@ def test_no_import_cycles():
     assert "training" in graph["cli"]  # the walk sees the package's imports
     cycles = import_cycles(graph)
     assert cycles == [], f"import cycles: {cycles}"
+
+
+YAML_READERS = {"load", "safe_load", "full_load", "unsafe_load",
+                "load_all", "safe_load_all", "full_load_all", "unsafe_load_all"}
+
+
+def yaml_reads():
+    """``module.function`` of every call of a ``yaml`` reader in
+    ``src/loadcast``, and of every import of one by name."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}
+        for node in ast.walk(tree):  # outer functions come first
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for inner in ast.walk(node):
+                    owner.setdefault(inner, node.name)
+        for node in ast.walk(tree):
+            where = f"{path.stem}.{owner.get(node, '<module>')}"
+            if isinstance(node, ast.ImportFrom) and node.module == "yaml":
+                found += [where for alias in node.names if alias.name in YAML_READERS]
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "yaml"
+                and node.func.attr in YAML_READERS
+            ):
+                found.append(where)
+    return found
+
+
+def test_yaml_is_read_in_one_place():
+    assert yaml_reads() == ["frames.read_yaml"]

@@ -5,11 +5,14 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
-from loadcast import cli
+from loadcast import cli, frames
 from loadcast.cli import (
     EXIT_DATA,
     EXIT_FINGERPRINT,
@@ -20,6 +23,8 @@ from loadcast.cli import (
     main,
 )
 from loadcast.errors import ConfigError
+from loadcast.model import ModelConfig
+from loadcast.training import TrainConfig
 from loadcast.training import load_checkpoint, save_checkpoint
 
 
@@ -201,6 +206,89 @@ class TestConfigLoading:
         bad = config_with(config, tmp_path / "bad.yaml", **{key: value})
         assert main([command, "--config", str(bad)]) == EXIT_USAGE
         assert f"error: {key} must " in capsys.readouterr().err
+
+
+    def test_malformed_yaml_is_usage(self, workspace, tmp_path, capsys):
+        _, config = workspace
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(config.read_text() + "model: {method: svd\n")
+        assert main(["evaluate", "--config", str(bad)]) == EXIT_USAGE
+        assert f"error: config file {bad} is not valid YAML: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("holidays: 5\n", "holidays must map dates to ids, got 5"),
+            ("holidays: {2018-01-01: one}\n", "holiday ids must be integers"),
+            ("- 2018-01-01\n- 2018-12-25\n", "must hold a mapping at top level"),
+            ("school_periods: [{start: 2018-06-01}]\n", "school_periods must list mappings"),
+            ("school_periods: {start: 2018-06-01, end: 2018-06-30}\n", "school_periods must"),
+            ("holidays: {2018-01-01: 1\n", "is not valid YAML: "),
+        ],
+    )
+    def test_malformed_region_is_usage(self, workspace, tmp_path, capsys, text, message):
+        _, config = workspace
+        region = tmp_path / "region.yaml"
+        region.write_text(text)
+        bad = config_with(config, tmp_path / "bad.yaml", region=region, out=tmp_path / "run")
+        assert main(["ingest", "--config", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: region table {region}" in err and message in err
+
+
+class TestYamlLoader:
+    def readme_config(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        body = readme.split("cat > config.yaml <<EOF\n", 1)[1].split("\nEOF\n", 1)[0]
+        path = tmp_path / "readme.yaml"
+        path.write_text(body + "\n")
+        return path
+
+    def perfbench_shaped_config(self, tmp_path):
+        doc = {
+            "dataset": str(tmp_path / "dataset.csv"),
+            "region": str(tmp_path / "region.yaml"),
+            "holiday_cardinality": 5,
+            "model": asdict(ModelConfig(method="svd", d=None, bins=32, ffn_width=128)),
+            "train": asdict(TrainConfig(epochs=2, batch_size=32, loss="mse", lr0=0.003)),
+            "horizons": [24],
+            "stride": 24,
+            "subsets": ["full"],
+            "explain_hours": 48,
+            "max_lag": 168,
+            "out": str(tmp_path / "run"),
+        }
+        path = tmp_path / "perfbench.yaml"
+        path.write_text(yaml.safe_dump(doc, sort_keys=True))
+        return path
+
+    def test_libyaml_is_used_when_present(self):
+        expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+        assert frames._YAML_LOADER is expected
+
+    @pytest.mark.parametrize("which", ["readme_config", "perfbench_shaped_config"])
+    def test_same_config_under_either_loader(self, tmp_path, monkeypatch, which):
+        path = getattr(self, which)(tmp_path)
+        chosen = load_run_config(path)
+        monkeypatch.setattr(frames, "_YAML_LOADER", yaml.SafeLoader)
+        pure = load_run_config(path)
+        assert chosen == pure
+        assert chosen.model.method == "svd" and chosen.model.d is None
+
+    def test_one_parser_leaks_no_state_between_commands(self, workspace, tmp_path):
+        ws, config = workspace
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(ws / "run" / "checkpoint.npz", run)
+        moved = config_with(config, tmp_path / "config.yaml", horizons="[12]", out=run)
+        forecast = ["forecast", "--config", str(moved)]
+        assert main(forecast + ["--horizon", "6", "--at", "2018-02-05T00:00:00Z"]) == EXIT_OK
+        rows = read_csv_rows(run / "forecast.csv")
+        assert len(rows) == 7 and rows[1][0] == "2018-02-05T01:00:00Z"
+        assert main(forecast) == EXIT_OK
+        rows = read_csv_rows(run / "forecast.csv")
+        assert len(rows) == 13 and rows[-1][0] == "2018-02-09T23:00:00Z"
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestIngest:

@@ -654,3 +654,105 @@ class TestCategoricalCheck:
         with pytest.raises(SchemaError) as info:
             frame.with_values(values)
         assert str(info.value) == message
+
+
+def _loop_fault(specs, values, missing):
+    """The frame check written cell by cell, column by column: the reference
+    the vectorised check in ``TimeSeriesFrame`` must agree with."""
+    for j in range(len(specs)):
+        for i in range(len(values)):
+            if not missing[i, j] and not np.isfinite(values[i, j]):
+                return IntegrityError, "non-missing cells must be finite"
+    for j, spec in enumerate(specs):
+        if spec.kind != CATEGORICAL:
+            continue
+        for i in range(len(values)):
+            v = values[i, j]
+            if missing[i, j] or (v == int(v) and 0 <= v < spec.cardinality):
+                continue
+            if v != int(v):
+                return SchemaError, f"categorical feature {spec.name!r} has non-integer values"
+            k = spec.cardinality
+            return SchemaError, f"categorical feature {spec.name!r} outside [0, {k})"
+    return None
+
+
+class TestVectorisedFrameCheck:
+    SPECS = (
+        FeatureSpec("load", CONTINUOUS, TARGET),
+        FeatureSpec("day", CATEGORICAL, EXOGENOUS, cardinality=7),
+        FeatureSpec("temperature", CONTINUOUS, EXOGENOUS),
+        FeatureSpec("flag", CATEGORICAL, EXOGENOUS, cardinality=2),
+    )
+
+    def build(self, values, missing=None):
+        values = np.asarray(values, dtype=float)
+        if missing is None:
+            missing = np.zeros(values.shape, dtype=bool)
+        return TimeSeriesFrame(hourly_timestamps(len(values)), self.SPECS, values, missing)
+
+    def clean(self, n=6):
+        return np.column_stack(
+            [np.full(n, 10.0), np.arange(n) % 7, np.linspace(-1, 1, n), np.arange(n) % 2]
+        ).astype(float)
+
+    def test_first_bad_column_in_spec_order_wins(self):
+        values = self.clean()
+        values[1, 3] = 5.0  # flag: an earlier row, a later column
+        values[4, 1] = 0.5  # day
+        with pytest.raises(SchemaError) as info:
+            self.build(values)
+        assert str(info.value) == "categorical feature 'day' has non-integer values"
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (2.5, 9.0, "categorical feature 'day' has non-integer values"),
+            (9.0, 2.5, "categorical feature 'day' outside [0, 7)"),
+            (-1.0, 0.5, "categorical feature 'day' outside [0, 7)"),
+        ],
+    )
+    def test_first_bad_row_picks_the_message(self, first, second, message):
+        values = self.clean()
+        values[2, 1] = first
+        values[4, 1] = second
+        with pytest.raises(SchemaError) as info:
+            self.build(values)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("junk", [np.nan, np.inf, -np.inf, 0.5, 99.0, -3.0])
+    def test_junk_under_a_missing_cell_passes(self, junk):
+        values = self.clean()
+        missing = np.zeros(values.shape, dtype=bool)
+        values[3, :] = junk
+        missing[3, :] = True
+        frame = self.build(values, missing)
+        assert np.isnan(frame.values[3]).all()
+        np.testing.assert_array_equal(frame.values[:3], self.clean()[:3])
+
+    @pytest.mark.parametrize("column", [0, 1, 2, 3])
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    def test_non_finite_present_cell_raises(self, column, cell):
+        values = self.clean()
+        values[2, column] = cell
+        with pytest.raises(IntegrityError, match="^non-missing cells must be finite$"):
+            self.build(values)
+
+    def test_matches_the_loop_on_random_faults(self):
+        rng = np.random.default_rng(7)
+        junk = np.array([np.nan, np.inf, -1.0, 0.5, 2.0, 7.0, 1.5, 3.0])
+        outcomes = set()
+        for _ in range(300):
+            values = self.clean(8)
+            missing = rng.random(values.shape) < 0.2
+            faults = rng.random(values.shape) < 0.08
+            values[faults] = rng.choice(junk, size=int(faults.sum()))
+            expected = _loop_fault(self.SPECS, values, missing)
+            outcomes.add(expected)
+            if expected is None:
+                self.build(values, missing)
+                continue
+            with pytest.raises(expected[0]) as info:
+                self.build(values, missing)
+            assert str(info.value) == expected[1]
+        assert len(outcomes) == 6  # no fault, non-finite, and each message for both columns
