@@ -26,6 +26,14 @@ CALENDAR_VIEWS = ("hour", "weekday", "month", "season", "holiday", "school_perio
 SPRING, SUMMER, FALL, WINTER = 0, 1, 2, 3
 
 
+def _days(dates, key: str) -> np.ndarray:
+    """ISO dates as whole UTC days; a bad one raises ``ConfigError`` naming ``key``."""
+    try:
+        return np.array(dates, dtype="datetime64[D]")
+    except ValueError as exc:
+        raise ConfigError(f"{key}: bad date: {exc}") from None
+
+
 @dataclass(frozen=True)
 class CalendarConfig:
     """Region table: holiday dates with ids 1..N, and school date ranges.
@@ -36,6 +44,8 @@ class CalendarConfig:
 
     holidays: dict[str, int] = field(default_factory=dict)
     school_periods: tuple[tuple[str, str], ...] = ()
+    # the dates above, parsed once: holiday days and (start, end) day pairs
+    _parsed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ids = set(self.holidays.values())
@@ -43,9 +53,12 @@ class CalendarConfig:
             raise ConfigError("holiday ids must be positive integers")
         if ids and ids != set(range(1, len(ids) + 1)):
             raise ConfigError(f"holiday ids must be exactly 1..{len(ids)}, got {sorted(ids)}")
-        for start, end in self.school_periods:
-            if np.datetime64(end, "D") < np.datetime64(start, "D"):
-                raise ConfigError(f"school period {start}..{end} runs backwards")
+        periods = _days(self.school_periods, "school_periods").reshape(-1, 2)
+        backwards = np.flatnonzero(periods[:, 1] < periods[:, 0])
+        if backwards.size:
+            start, end = self.school_periods[backwards[0]]
+            raise ConfigError(f"school period {start}..{end} runs backwards")
+        object.__setattr__(self, "_parsed", (_days(list(self.holidays), "holidays"), periods))
 
     @property
     def holiday_cardinality(self) -> int:
@@ -56,37 +69,33 @@ class CalendarConfig:
 def load_region(path) -> CalendarConfig:
     """Read a region table from a YAML (or JSON) config file.
 
-    A section of the wrong shape raises ``ConfigError`` naming the file
-    and the key: ``holidays`` must map dates to ids, and ``school_periods``
-    must list mappings that each hold a ``start`` and an ``end``."""
+    A section of the wrong shape or a bad date raises ``ConfigError`` naming
+    the file and the key: ``holidays`` must map dates to ids, and
+    ``school_periods`` must list mappings that each hold a ``start`` and an ``end``."""
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"region table not found: {path}")
     raw = read_yaml(path, "region table")
-    holidays = raw.get("holidays") or {}
-    if not isinstance(holidays, dict):
-        raise ConfigError(
-            f"region table {path}: holidays must map dates to ids, got {holidays!r}"
-        )
     try:
-        ids = {str(k): int(v) for k, v in holidays.items()}
-    except (TypeError, ValueError):
-        raise ConfigError(
-            f"region table {path}: holiday ids must be integers, got {holidays!r}"
-        ) from None
-    periods = raw.get("school_periods") or []
-    if not (
-        isinstance(periods, list)
-        and all(isinstance(p, dict) and {"start", "end"} <= p.keys() for p in periods)
-    ):
-        raise ConfigError(
-            f"region table {path}: school_periods must list mappings with a start "
-            f"and an end, got {periods!r}"
-        )
-    return CalendarConfig(
-        holidays=ids,
-        school_periods=tuple((str(p["start"]), str(p["end"])) for p in periods),
-    )
+        holidays = raw.get("holidays") or {}
+        if not isinstance(holidays, dict):
+            raise ConfigError(f"holidays must map dates to ids, got {holidays!r}")
+        try:
+            ids = {str(k): int(v) for k, v in holidays.items()}
+        except (TypeError, ValueError):
+            raise ConfigError(f"holiday ids must be integers, got {holidays!r}") from None
+        periods = raw.get("school_periods") or []
+        if not (
+            isinstance(periods, list)
+            and all(isinstance(p, dict) and {"start", "end"} <= p.keys() for p in periods)
+        ):
+            raise ConfigError(
+                f"school_periods must list mappings with a start and an end, got {periods!r}"
+            )
+        periods = tuple((str(p["start"]), str(p["end"])) for p in periods)
+        return CalendarConfig(holidays=ids, school_periods=periods)
+    except ConfigError as exc:
+        raise ConfigError(f"region table {path}: {exc}") from None
 
 
 def write_region(config: CalendarConfig, path) -> None:
@@ -109,15 +118,14 @@ def _calendar_columns(timestamps: np.ndarray, region: CalendarConfig):
     month = timestamps.astype("datetime64[M]").astype(np.int64) % 12
     season = ((month - 2) % 12) // 3
 
+    holiday_days, periods = region._parsed
     holiday = np.zeros(timestamps.shape[0], dtype=np.int64)
-    by_day = {np.datetime64(d, "D"): i for d, i in region.holidays.items()}
-    for d, hid in by_day.items():
+    for d, hid in zip(holiday_days, region.holidays.values()):
         holiday[days == d] = hid
 
     school = np.zeros(timestamps.shape[0], dtype=np.int64)
-    for start, end in region.school_periods:
-        inside = (days >= np.datetime64(start, "D")) & (days <= np.datetime64(end, "D"))
-        school[inside] = 1
+    for start, end in periods:
+        school[(days >= start) & (days <= end)] = 1
 
     return hour, weekday, month, season, holiday, school
 

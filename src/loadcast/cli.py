@@ -20,6 +20,8 @@ import zipfile
 from dataclasses import dataclass, field, replace
 from functools import cache, partial
 
+import numpy as np
+
 from .calendars import (
     calendar_specs,
     derive_calendar_views,
@@ -50,16 +52,15 @@ from .frames import (
     TimeSeriesFrame,
     apply_scaler,
     format_timestamp,
-    format_timestamps,
     inject_noise,
     load_csv,
     parse_timestamp,
     read_npz,
     read_yaml,
     standard_schema,
-    table_cells,
     write_csv,
     write_npz,
+    write_series,
     write_table,
 )
 from .lags import LagSet, lag_set_for_history
@@ -80,6 +81,14 @@ EXIT_USAGE = 2
 EXIT_MISSING_FILE = 3
 EXIT_FINGERPRINT = 4
 EXIT_DATA = 5
+# the exit code of an error, by the first kind it is; every package error
+# not named before LoadcastError is about the data, and anything else is 1
+_EXIT_CODES = (
+    (FileNotFoundError, EXIT_MISSING_FILE),
+    (FingerprintError, EXIT_FINGERPRINT),
+    (ConfigError, EXIT_USAGE),
+    (LoadcastError, EXIT_DATA),
+)
 
 
 @dataclass
@@ -350,13 +359,10 @@ def cmd_forecast(cfg: RunConfig, args) -> int:
     scaled = apply_scaler(frame, scaler)
     preds = forecast_rollout(model, scaled, t0, horizon, lag_set, scaler)
     rows = slice(t0 + 1, t0 + 1 + horizon)
-    truth = table_cells(frame.column(frame.target_name)[rows])
+    truth = frame.column(frame.target_name)[rows]
     path = os.path.join(cfg.out, "forecast.csv")
-    write_table(
-        path,
-        ["timestamp", "forecast", "truth"],
-        zip(format_timestamps(frame.timestamps[rows]), preds.tolist(), truth),
-    )
+    header = ["timestamp", "forecast", "truth"]
+    write_series(path, header, frame.timestamps[rows], np.column_stack([preds, truth]), [None, None])
     print(f"{horizon}h forecast from {format_timestamp(frame.timestamps[t0])} -> {path}")
     return EXIT_OK
 
@@ -476,10 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command")
 
-    def common(p, config_required: bool):
-        p.add_argument(
-            "--config", required=config_required, help="run config file (YAML)"
-        )
+    def common(p):
+        p.add_argument("--config", required=True, help="run config file (YAML)")
         p.add_argument("--seed", type=int, help="override train.seed")
         p.add_argument("--out", help="override output directory")
         p.add_argument(
@@ -500,16 +504,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory (default: current)")
 
-    for name, required in (
-        ("ingest", True),
-        ("train", True),
-        ("evaluate", True),
-        ("forecast", True),
-        ("explain", True),
-        ("cv", True),
-    ):
+    for name in ("ingest", "train", "evaluate", "forecast", "explain", "cv"):
         p = sub.add_parser(name, help=f"{name} per the config file")
-        common(p, required)
+        common(p)
         if name == "train":
             p.add_argument(
                 "--resume", action="store_true",
@@ -552,9 +549,7 @@ def main(argv=None) -> int:
             return cmd_perturb(cfg, args)
         if args.command == "params":
             return cmd_params(cfg, args)
-        if cfg is None:
-            raise ConfigError(f"{args.command} requires --config")
-        handler = {
+        handler = {  # argparse has required --config for these
             "ingest": cmd_ingest,
             "train": cmd_train,
             "evaluate": cmd_evaluate,
@@ -563,21 +558,9 @@ def main(argv=None) -> int:
             "cv": cmd_cv,
         }[args.command]
         return handler(cfg, args)
-    except FileNotFoundError as exc:
+    except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_FILE
-    except FingerprintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINGERPRINT
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LoadcastError as exc:  # every other package error is about the data
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except Exception as exc:  # pragma: no cover - last resort
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERIC
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), EXIT_GENERIC)
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ from .frames import (
     TimeSeriesFrame,
     apply_scaler,
     format_timestamp,
-    format_timestamps,
     write_json,
+    write_series,
     write_table,
 )
 from .lags import LagSet
@@ -244,11 +244,8 @@ def write_panels(out_dir, panels: list[PanelSeries]) -> None:
     manifest = {"kind": "isolation-panels", "series": []}
     for panel in panels:
         filename = f"panel_{panel.name}.csv"
-        write_table(
-            os.path.join(out_dir, filename),
-            ["timestamp", "forecast"],
-            zip(format_timestamps(panel.timestamps), panel.values.tolist()),
-        )
+        write_series(os.path.join(out_dir, filename), ["timestamp", "forecast"],
+                     panel.timestamps, panel.values[:, None], [None])
         manifest["series"].append(
             {
                 "name": panel.name,

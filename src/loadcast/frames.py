@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -235,26 +235,13 @@ class TimeSeriesFrame:
 _CANONICAL = np.frombuffer("0000-00-00T00:00:00Z".encode("utf-32-le"), dtype=np.uint32)
 _DIGIT_SLOTS = _CANONICAL == ord("0")
 _YEAR_ONE = np.datetime64("0001-01-01T00:00:00", "s")
-_WRITE_BLOCK = 1024  # rows that write_csv formats at once
+_WRITE_BLOCK = 1024  # rows that write_series formats at once
 
 
 def format_timestamps(ts) -> list[str]:
     """``format_timestamp`` over an array of timestamps, in one numpy call."""
     text = np.datetime_as_string(np.asarray(ts, dtype="datetime64[s]"))
     return np.char.add(text, "Z").tolist()
-
-
-def table_cells(col: np.ndarray, kind: str = CONTINUOUS) -> list:
-    """One column's cells for ``write_table``: floats, or ints if
-    categorical; NaN is ``None``, an empty cell."""
-    nan = np.isnan(col)
-    if kind == CATEGORICAL:
-        cells = np.where(nan, 0, col).astype(np.int64).tolist()
-    else:
-        cells = col.tolist()
-    for i in np.flatnonzero(nan).tolist():
-        cells[i] = None
-    return cells
 
 
 def forward_fill(frame: TimeSeriesFrame) -> TimeSeriesFrame:
@@ -437,9 +424,10 @@ def load_csv(path, schema: list[FeatureSpec], fill: bool = False) -> TimeSeriesF
 def write_table(path, header, rows) -> None:
     """Write a CSV table with LF line ends.
 
-    Every CSV output of the package goes through here.  Cells are Python
-    values: a float is written as its ``repr``, which reads back to the
-    same float, and ``None`` as an empty cell.
+    Every labelled table of the package goes through here; timestamped
+    series go through ``write_series``.  Cells are Python values: a float
+    is written as its ``repr``, which reads back to the same float, and
+    ``None`` as an empty cell.
     """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -462,14 +450,17 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 def read_yaml(path, what: str) -> dict:
     """The mapping a YAML file holds, ``{}`` if the file is empty.
 
-    Every YAML file the package reads goes through here.  Malformed YAML
-    and a top-level value that is not a mapping raise ``ConfigError``
-    naming ``what`` and the file."""
+    Every YAML file the package reads goes through here.  Malformed YAML,
+    a value YAML cannot build (an impossible date) and a top-level value
+    that is not a mapping raise ``ConfigError`` naming ``what`` and the
+    file."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ConfigError(f"{what} {path} is not valid YAML: {exc}") from None
+        except ValueError as exc:  # a value yaml cannot build, such as 2018-02-30
+            raise ConfigError(f"{what} {path} holds a bad value: {exc}") from None
     if doc is None:
         return {}
     if not isinstance(doc, dict):
@@ -506,20 +497,39 @@ def read_npz(path) -> np.lib.npyio.NpzFile:
         raise
 
 
+def write_series(path, header, timestamps, values, cardinalities) -> None:
+    """Write timestamps and the columns of ``values`` ``(T, F)`` as CSV, the
+    bytes ``write_table`` gives: column ``j`` as integer codes if
+    ``cardinalities[j]`` is set, else as float ``repr``s, and NaN as an empty
+    cell.  No such cell needs quoting, so only the header goes through
+    ``csv``; rows are formatted a column and a block of rows at a time and
+    written line by line.  A joined block would be the writer's only
+    allocation above glibc's 128-KB mmap threshold, and moving that
+    threshold changes how fast later commands in the process run."""
+    tables = [None if k is None else [str(c) for c in range(k)] + [""] for k in cardinalities]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for lo in range(0, len(timestamps), _WRITE_BLOCK):
+            block = values[lo : lo + _WRITE_BLOCK]
+            nan = np.isnan(block)
+            columns = [format_timestamps(timestamps[lo : lo + _WRITE_BLOCK])]
+            for col, blank, table in zip(block.T, nan.T, tables):
+                if table is None:
+                    cells = list(map(float.__repr__, col.tolist()))
+                    for i in np.flatnonzero(blank).tolist():
+                        cells[i] = ""
+                else:  # a blank reads the table's last entry, ""
+                    codes = np.where(blank, -1, col).astype(np.intp)
+                    cells = list(map(table.__getitem__, codes.tolist()))
+                columns.append(cells)
+            fh.writelines(map("".join, zip(map(",".join, zip(*columns)), repeat("\n"))))
+
+
 def write_csv(frame: TimeSeriesFrame, path) -> None:
     """Write a frame as CSV; exact inverse of ``load_csv`` on valid frames."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-
-    def blocks():  # a block of rows at a time, so that not every cell lives at once
-        for lo in range(0, frame.n_rows, _WRITE_BLOCK):
-            rows = slice(lo, lo + _WRITE_BLOCK)
-            cells = [
-                table_cells(frame.values[rows, j], s.kind) for j, s in enumerate(frame.specs)
-            ]
-            yield from zip(format_timestamps(frame.timestamps[rows]), *cells)
-
-    write_table(path, ["timestamp"] + [s.name for s in frame.specs], blocks())
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    header = ["timestamp"] + [s.name for s in frame.specs]
+    write_series(path, header, frame.timestamps, frame.values, [s.cardinality for s in frame.specs])
 
 
 # ---------------------------------------------------------------------------

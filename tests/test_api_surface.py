@@ -14,6 +14,10 @@ modules each own part of one decision; move the shared part to one of them.
 YAML is read only through ``frames.read_yaml``, which picks libyaml's parser
 when it is there and turns malformed YAML into a usage error; a second
 ``yaml.load`` or ``yaml.safe_load`` would skip both.
+
+CSV is read and written only in ``frames``: ``load_csv`` reads it, and
+``write_series`` and ``write_table`` write it.  A second module importing
+``csv`` would format cells by rules of its own.
 """
 import ast
 import re
@@ -151,3 +155,23 @@ def yaml_reads():
 
 def test_yaml_is_read_in_one_place():
     assert yaml_reads() == ["frames.read_yaml"]
+
+
+def csv_importers():
+    """Modules of ``src/loadcast`` that import ``csv``, at any level."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "csv" for name in names):
+                found.add(path.stem)
+    return sorted(found)
+
+
+def test_csv_is_formatted_in_one_module():
+    assert csv_importers() == ["frames"]

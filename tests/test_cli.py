@@ -224,6 +224,15 @@ class TestConfigLoading:
             ("school_periods: [{start: 2018-06-01}]\n", "school_periods must list mappings"),
             ("school_periods: {start: 2018-06-01, end: 2018-06-30}\n", "school_periods must"),
             ("holidays: {2018-01-01: 1\n", "is not valid YAML: "),
+            ("holidays: {2018-02-30: 1}\n", "holds a bad value: day is out of range"),
+            (
+                "holidays: {notadate: 1}\n",
+                ': holidays: bad date: Error parsing datetime string "notadate"',
+            ),
+            (
+                "school_periods: [{start: nope, end: 2018-01-05}]\n",
+                ': school_periods: bad date: Error parsing datetime string "nope"',
+            ),
         ],
     )
     def test_malformed_region_is_usage(self, workspace, tmp_path, capsys, text, message):
@@ -234,6 +243,15 @@ class TestConfigLoading:
         assert main(["ingest", "--config", str(bad)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"error: region table {region}" in err and message in err
+
+    def test_impossible_config_date_is_usage(self, workspace, tmp_path, capsys):
+        _, config = workspace
+        bad = config_with(config, tmp_path / "bad.yaml", noise_seed="2018-02-30")
+        assert main(["ingest", "--config", str(bad)]) == EXIT_USAGE
+        assert (
+            f"error: config file {bad} holds a bad value: day is out of range for month"
+            in capsys.readouterr().err
+        )
 
 
 class TestYamlLoader:
@@ -403,6 +421,37 @@ class TestForecast:
         _, config = workspace
         code = main(["forecast", "--config", str(config), "--at", "2018-02-05T00"])
         assert code == EXIT_DATA
+
+    def test_file_equals_write_table_of_the_same_values(self, workspace, tmp_path, monkeypatch):
+        ws, config = workspace
+        lines = (ws / "data" / "dataset.csv").read_text().splitlines()
+        for i in (-1, -3, -4):  # truth hours of the default anchor's forecast
+            cells = lines[i].split(",")
+            cells[1] = ""
+            lines[i] = ",".join(cells)
+        dataset = tmp_path / "dataset.csv"
+        dataset.write_text("\n".join(lines) + "\n")
+        run = tmp_path / "run"
+        run.mkdir()
+        shutil.copy(ws / "run" / "checkpoint.npz", run / "checkpoint.npz")
+        moved = config_with(config, tmp_path / "config.yaml", dataset=dataset, out=run)
+        preds = []
+        rollout = cli.forecast_rollout
+        monkeypatch.setattr(
+            cli, "forecast_rollout", lambda *a: preds.append(rollout(*a)) or preds[-1]
+        )
+        assert main(["forecast", "--config", str(moved)]) == EXIT_OK
+        frame = frames.load_csv(dataset, frames.standard_schema(5))
+        rows = slice(frame.n_rows - 6, None)
+        truth = [None if np.isnan(v) else v for v in frame.column("load")[rows].tolist()]
+        want = tmp_path / "want.csv"
+        frames.write_table(
+            want,
+            ["timestamp", "forecast", "truth"],
+            zip(frames.format_timestamps(frame.timestamps[rows]), preds[0].tolist(), truth),
+        )
+        got = (run / "forecast.csv").read_bytes()
+        assert got == want.read_bytes() and got.count(b",\n") == 3
 
 
 class TestExplain:

@@ -19,7 +19,13 @@ from loadcast.explain import (
     write_panels,
     write_svd,
 )
-from loadcast.frames import apply_scaler, fit_scaler, standard_schema
+from loadcast.frames import (
+    apply_scaler,
+    fit_scaler,
+    format_timestamps,
+    standard_schema,
+    write_table,
+)
 from loadcast.lags import LagSet
 from loadcast.model import Model, ModelConfig, forced_keep
 
@@ -339,6 +345,20 @@ class TestArtifactFiles:
             lines = (tmp_path / name).read_text().splitlines()
             assert lines[0] == "timestamp,forecast"
             assert len(lines) == 25
+
+    def test_panel_csv_equals_write_table_of_the_same_values(self, tmp_path):
+        model, frame, scaler = built()
+        groups = default_groups(frame.specs)
+        panels = isolation_panels(model, frame, scaler, groups, (200, 226), 6, LAGS)
+        write_panels(tmp_path, panels)
+        panel = panels[1]
+        want = tmp_path / "want.csv"
+        write_table(
+            want,
+            ["timestamp", "forecast"],
+            zip(format_timestamps(panel.timestamps), panel.values.tolist()),
+        )
+        assert (tmp_path / f"panel_{panel.name}.csv").read_bytes() == want.read_bytes()
 
     def test_writers_byte_stable(self, tmp_path):
         model, frame, scaler = built()

@@ -612,6 +612,36 @@ class TestWriteCsvMatchesLoop:
         values[:, 1] = [0.1, -0.0, 5e-324, 1.7976931348623157e308, 1e16, -2.5e-7]
         self._check(frame.with_values(values), tmp_path)
 
+    @pytest.mark.parametrize("n", [1023, 1024, 1025])
+    def test_block_edges(self, tmp_path, n):
+        frame = small_frame(n=n)
+        missing = frame.missing.copy()
+        missing[1021:1027:2, 0] = True  # blanks on both sides of the edge at row 1024
+        missing[1022:1026, 2] = True
+        self._check(frame.with_values(frame.values, missing), tmp_path)
+
+    def test_one_row(self, tmp_path):
+        self._check(small_frame(n=1), tmp_path)
+
+    def test_column_missing_in_every_row(self, tmp_path):
+        frame = small_frame(n=50)
+        missing = frame.missing.copy()
+        missing[:, 1:] = True  # a continuous and a categorical column
+        self._check(frame.with_values(frame.values, missing), tmp_path)
+
+    def test_category_at_cardinality_minus_one(self, tmp_path):
+        frame = small_frame(n=30)
+        values = frame.values.copy()
+        values[::2, 2] = 23.0  # hour's cardinality is 24
+        self._check(frame.with_values(values), tmp_path)
+
+    def test_name_that_needs_quoting(self, tmp_path):
+        frame = small_frame(n=5)
+        specs = (frame.specs[0], FeatureSpec("a,b", CONTINUOUS, EXOGENOUS), frame.specs[2])
+        self._check(TimeSeriesFrame(frame.timestamps, specs, frame.values, frame.missing), tmp_path)
+        header = (tmp_path / "got.csv").read_text().splitlines()[0]
+        assert header == 'timestamp,load,"a,b",hour'
+
 
 class TestWriteTable:
     def test_table_bytes(self, tmp_path):
