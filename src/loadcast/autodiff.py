@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 LAYER_NORM_EPS = 1e-5
 
@@ -65,30 +64,8 @@ class Mat:
     def __repr__(self) -> str:
         return f"Mat(shape={self.shape})"
 
-    # operator sugar; all dispatch to the module-level primitives
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 def as_mat(x) -> Mat:
@@ -302,7 +279,7 @@ def layer_norm_rows(x, gain, bias) -> Mat:
 
 
 def dropout_factor(u: np.ndarray, p: float) -> np.ndarray:
-    """An inverted-dropout multiplier from uniforms ``u`` on ``[0, 1)``: 0
+    """An inverted-dropout multiplier from uniform draws ``u`` on ``[0, 1)``: 0
     where an entry is dropped (``u < p``, probability ``p``), ``1/(1-p)``
     where it is kept."""
     return (u >= p) / (1.0 - p)
@@ -474,76 +451,6 @@ def zero_grad(params: Iterable[Mat]) -> None:
 # deterministic randomness
 # ---------------------------------------------------------------------------
 
-# numpy's SeedSequence hash (numpy/random/bit_generator.pyx)
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
-
-
-def _words(n: int) -> list[int]:
-    """The 32-bit words of ``n``, low first, as SeedSequence splits an int."""
-    if n < 0:
-        raise ValueError(f"expected a non-negative integer, got {n}")
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
-
-
-def _hasher(const: int, mult: int) -> Callable:
-    """numpy's ``hashmix``; each call advances the multiplier, which is the
-    same for every sequence and so stays a Python int.  The words stay
-    arrays: they wrap without an overflow warning."""
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> np.uint32(16))
-
-    return hashmix
-
-
-def _seed_states(entropy: list[np.ndarray]) -> np.ndarray:
-    """``SeedSequence.generate_state(4, np.uint64)`` of ``n`` sequences.
-
-    ``entropy`` lists the assembled entropy words in order, at least the
-    pool's 4: uint32 arrays of one entry (shared) or ``n`` (one per
-    sequence); returns ``(n, 4)`` uint64.
-    """
-
-    def mix(x, y):
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> np.uint32(16))
-
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL]]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = _hasher(_INIT_B, _MULT_B)
-    state = np.stack([out(pool[i % _POOL]) for i in range(2 * 4)], axis=1)
-    # pairs of words read little-endian, as generate_state does
-    return state.astype("<u4").view("<u8").astype(np.uint64)
-
-
-class _SeedState(ISeedSequence):
-    """Seed words computed ahead: hands ``PCG64`` its state unchanged."""
-
-    def __init__(self, state: np.ndarray):
-        self.state = state
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.state
-
-
 class RngStream:
     """Named, splittable, counter-based deterministic random stream.
 
@@ -551,12 +458,6 @@ class RngStream:
     ``(seed, path, counter)`` via ``SeedSequence``, so the sequence of values
     depends only on the seed and the order of draws, identical on every
     platform and resumable by restoring the counter.
-
-    ``uniforms(shapes)`` returns ``[self.draw().random(s) for s in shapes]``
-    bit for bit and advances the counter as far, but hashes every draw's
-    seed words in one vectorised pass (:func:`_seed_states`) instead of
-    building a ``SeedSequence`` per draw; ``PCG64`` still seeds and
-    generates with numpy's own code.
     """
 
     def __init__(self, seed: int, path: tuple[int, ...] = (), counter: int = 0):
@@ -570,31 +471,6 @@ class RngStream:
         )
         self.counter += 1
         return np.random.Generator(np.random.PCG64(ss))
-
-    def uniforms(self, shapes: Sequence) -> list[np.ndarray]:
-        """One ``[0, 1)`` array per shape, each from the next draw."""
-        n = len(shapes)
-        if self.counter + n > 2**64:
-            raise ValueError(f"uniforms: counters up to {self.counter + n} exceed 64 bits")
-        # as SeedSequence pads a spawned sequence's seed words to the pool size
-        head = _words(self.seed)
-        head += [0] * (_POOL - len(head))
-        for p in self.path:
-            head += _words(p)
-        head = [np.array([w], dtype=np.uint32) for w in head]
-        c = np.arange(n, dtype=np.uint64) + np.uint64(self.counter)
-        low = (c & np.uint64(_MASK32)).astype(np.uint32)
-        high = (c >> np.uint64(32)).astype(np.uint32)
-        one = c <= np.uint64(_MASK32)  # a counter below 2**32 is one word
-        states = np.empty((n, 4), dtype=np.uint64)
-        for rows, words in ((one, [low]), (~one, [low, high])):
-            if rows.any():
-                states[rows] = _seed_states(head + [w[rows] for w in words])
-        self.counter += n
-        return [
-            np.random.Generator(np.random.PCG64(_SeedState(s))).random(shape)
-            for s, shape in zip(states, shapes)
-        ]
 
     def split(self, index: int) -> "RngStream":
         return RngStream(self.seed, self.path + (int(index),), 0)

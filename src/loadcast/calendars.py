@@ -27,11 +27,18 @@ SPRING, SUMMER, FALL, WINTER = 0, 1, 2, 3
 
 
 def _days(dates, key: str) -> np.ndarray:
-    """ISO dates as whole UTC days; a bad one raises ``ConfigError`` naming ``key``."""
+    """ISO dates as whole UTC days; a bad one raises ``ConfigError`` naming
+    ``key``.  numpy also reads a year, a month or a time as a day, so a
+    date must print back as its own ``YYYY-MM-DD`` text."""
     try:
-        return np.array(dates, dtype="datetime64[D]")
+        days = np.array(dates, dtype="datetime64[D]")
     except ValueError as exc:
         raise ConfigError(f"{key}: bad date: {exc}") from None
+    text = np.array(dates, dtype=str)
+    bad = (np.datetime_as_string(days) != text) | np.isnat(days)
+    if bad.any():
+        raise ConfigError(f"{key}: bad date: {str(text[bad][0])!r} is not a YYYY-MM-DD day")
+    return days
 
 
 @dataclass(frozen=True)

@@ -322,11 +322,12 @@ class Model:
         with no dropout.  An :class:`RngStream` trains: each block drops
         every view with probability ``embedding_dropout`` and every sublayer
         unit with ``transformer_dropout``.  The target view is kept in every
-        mode.  Training draws run example by example, view mask first and
-        then every sublayer, which is the order of ``blocks`` separate
-        single-example forwards; so a batch sees the same masks as those
-        forwards would.  The whole batch's draws are one
-        :meth:`RngStream.uniforms` call.
+        mode.  Training makes one ``mode.draw()`` per example, in example
+        order, and reads its doubles as the view mask's ``F`` (when
+        ``embedding_dropout > 0``) and then one ``(rows, width)`` block per
+        sublayer (when ``transformer_dropout > 0``).  Each example reads only
+        its own draw, so a batch sees the masks that ``blocks`` separate
+        single-example forwards would.
         """
         f = self.n_views
         keep = np.ones((blocks, f), dtype=bool)
@@ -334,17 +335,18 @@ class Model:
         if isinstance(mode, RngStream):
             p_e = self.config.embedding_dropout
             p = self.config.transformer_dropout
-            views = [(f,)] if p_e > 0.0 else []
-            units = [(rows, self.width)] * sites if p > 0.0 else []
-            per = len(views) + len(units)  # draws per example
+            views = f if p_e > 0.0 else 0
+            units = sites if p > 0.0 else 0
+            per = views + units * rows * self.width  # doubles per example
             if per:
-                u = mode.uniforms((views + units) * blocks)
+                u = np.stack([mode.draw().random(per) for _ in range(blocks)])
                 if views:
-                    keep[:] = np.stack(u[::per]) >= p_e
+                    keep[:] = u[:, :views] >= p_e
                 if units:
+                    u = u[:, views:].reshape(blocks, units, rows, self.width)
                     drops = [
-                        ad.dropout_factor(np.concatenate(u[i::per]), p)
-                        for i in range(len(views), per)
+                        ad.dropout_factor(site.reshape(-1, self.width), p)
+                        for site in u.swapaxes(0, 1)
                     ]
         elif mode is not None:
             if len(mode) != f:

@@ -37,7 +37,7 @@ ADAM_EPS = 1e-8
 MONTH_HOURS = 720
 YEAR_HOURS = 8760
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

@@ -252,7 +252,13 @@ class TestRngStream:
 
     @pytest.mark.parametrize(
         "seed, path, counter",
-        [(0, (), 0), (5, (1,), 17), (7, (3, 2**33), 4), (2**40 + 1, (2,), 2**32 + 6)],
+        [
+            (0, (), 0),
+            (5, (1,), 17),
+            (7, (3, 2**33), 4),
+            (2**40 + 1, (2,), 2**32 + 6),
+            (6, (2,), 2**64 + 3),  # a counter past 64 bits
+        ],
     )
     def test_draw_is_numpys_seed_sequence(self, seed, path, counter):
         s = RngStream(seed, path, counter)
@@ -261,35 +267,3 @@ class TestRngStream:
         ).random(9)
         np.testing.assert_array_equal(s.draw().random(9), want)
         assert s.counter == counter + 1
-
-    MIXED = [(14,), (4, 8), (), 3, (0, 5), (2, 2, 2)]
-
-    @pytest.mark.parametrize(
-        "seed, path, counter, shapes",
-        [
-            (3, (), 0, MIXED),  # empty path
-            (7, (1, 2), 11, MIXED),  # path of length 2
-            (2**32 + 9, (1,), 0, MIXED),  # two-word seed
-            (2**130 + 1, (), 2, MIXED),  # seed longer than the pool
-            (4, (2**35 + 3, 6), 1, MIXED),  # path element of two words
-            (5, (1,), 40, []),  # no shapes
-            (5, (1,), 2**32 - 3, [(3, 4)] * 6),  # counters cross 2**32
-            (6, (2,), 2**64 - 4, [(2,)] * 4),  # the last 64-bit counters
-        ],
-    )
-    def test_uniforms_equal_draw_loop(self, seed, path, counter, shapes):
-        reference = RngStream(seed, path, counter)
-        want = [reference.draw().random(shape) for shape in shapes]
-        s = RngStream(seed, path, counter)
-        got = s.uniforms(shapes)
-        assert s.counter == reference.counter == counter + len(shapes)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape
-            np.testing.assert_array_equal(g, w)
-
-    def test_uniforms_refuse_counters_past_64_bits(self):
-        s = RngStream(1, (), 2**64 - 2)
-        with pytest.raises(ValueError, match="64 bits"):
-            s.uniforms([(1,)] * 3)
-        assert s.counter == 2**64 - 2

@@ -233,6 +233,15 @@ class TestConfigLoading:
                 "school_periods: [{start: nope, end: 2018-01-05}]\n",
                 ': school_periods: bad date: Error parsing datetime string "nope"',
             ),
+            ("holidays: {'2018': 1}\n", ": holidays: bad date: '2018' is not a YYYY-MM-DD day"),
+            (
+                "school_periods: [{start: '2018-01-01T23', end: '2018-01'}]\n",
+                ": school_periods: bad date: '2018-01-01T23' is not a YYYY-MM-DD day",
+            ),
+            (
+                "school_periods: [{start: 2018-01-01, end: '2018-01'}]\n",
+                ": school_periods: bad date: '2018-01' is not a YYYY-MM-DD day",
+            ),
         ],
     )
     def test_malformed_region_is_usage(self, workspace, tmp_path, capsys, text, message):
@@ -823,7 +832,22 @@ class TestCheckpointVersion:
         run.mkdir()
         np.savez(run / "checkpoint.npz", **arrays)
         assert main(["evaluate", "--config", str(config), "--out", str(run)]) == EXIT_FINGERPRINT
-        assert "checkpoint version 1, expected 2" in capsys.readouterr().err
+        assert "checkpoint version 1, expected 3" in capsys.readouterr().err
+
+    def test_version_two_checkpoint_is_a_fingerprint_error(self, workspace, tmp_path, capsys):
+        # version 2 holds the same arrays, trained under the earlier dropout stream
+        ws, config = workspace
+        with np.load(ws / "run" / "checkpoint.npz") as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = dict(json.loads(bytes(arrays["meta"]).decode()), version=2)
+        arrays["meta"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+        run = tmp_path / "run"
+        run.mkdir()
+        np.savez(run / "checkpoint.npz", **arrays)
+        for command in (["evaluate"], ["train", "--resume"]):
+            code = main(command + ["--config", str(config), "--out", str(run)])
+            assert code == EXIT_FINGERPRINT
+            assert "checkpoint version 2, expected 3" in capsys.readouterr().err
 
 
 class TestNonFiniteForecast:

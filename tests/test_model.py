@@ -422,8 +422,9 @@ class TestInputContract:
 
 
 class TestDropoutDraws:
-    """A training forward draws each example's view mask, then one factor
-    per sublayer; each draw advances the stream's counter by one."""
+    """A training forward makes one draw per example, whatever the layer
+    count, and reads the example's view mask and then every sublayer's
+    factor from it."""
 
     @pytest.mark.parametrize("encoder_layers, decoder_layers", [(1, 2), (0, 1), (2, 1)])
     def test_both_dropouts(self, encoder_layers, decoder_layers):
@@ -432,7 +433,7 @@ class TestDropoutDraws:
         )
         rng = RngStream(7)
         model.forward_batch(np.stack([x] * 5), rng)
-        assert rng.counter == 5 * (1 + 2 * (encoder_layers + decoder_layers))
+        assert rng.counter == 5
 
     def test_embedding_dropout_only(self):
         model, x, _, _ = built_model("additive", transformer_dropout=0.0)
@@ -446,11 +447,24 @@ class TestDropoutDraws:
         embed_one(model, x, rng)
         assert rng.counter == 1
 
-    @pytest.mark.parametrize(
+    DROPOUTS = pytest.mark.parametrize(
         "transformer_dropout, embedding_dropout",
         [(0.3, 0.4), (0.0, 0.4), (0.3, 0.0)],
         ids=["both", "embedding_only", "transformer_only"],
     )
+
+    @staticmethod
+    def assert_same_masks(got, want):
+        (keep, drops), (want_keep, want_drops) = got, want
+        np.testing.assert_array_equal(keep, want_keep)
+        assert len(drops) == len(want_drops)
+        for g, w in zip(drops, want_drops):
+            if w is None:
+                assert g is None
+            else:
+                np.testing.assert_array_equal(g, w)
+
+    @DROPOUTS
     def test_batched_draws_equal_per_example_draws(self, transformer_dropout, embedding_dropout):
         model, _, _, _ = built_model(
             "additive",
@@ -460,22 +474,47 @@ class TestDropoutDraws:
         blocks, rows, sites = 6, len(LAGS.lags), 2 * (1 + 2)
         rng, reference = RngStream(7, (1,), 3), RngStream(7, (1,), 3)
         keep, drops = model._draw_masks(rng, blocks, rows, sites)
-        want_keep, want_drops = per_example_masks(model, reference, blocks, rows, sites)
-        assert rng.counter == reference.counter
-        np.testing.assert_array_equal(keep, want_keep)
+        want = one_draw_per_example(model, reference, blocks, rows, sites)
+        assert rng.counter == reference.counter == 3 + blocks
+        self.assert_same_masks((keep, drops), want)
         assert (~keep).any() == (embedding_dropout > 0)
-        assert len(drops) == len(want_drops) == sites
-        for got, want in zip(drops, want_drops):
-            if want is None:
-                assert got is None
-            else:
-                assert got.shape == (blocks * rows, model.width)
-                np.testing.assert_array_equal(got, want)
         assert all(d is None for d in drops) == (transformer_dropout == 0)
+        assert all(d is None or d.shape == (blocks * rows, model.width) for d in drops)
+
+    @DROPOUTS
+    def test_batch_draws_what_single_examples_draw(
+        self, transformer_dropout, embedding_dropout
+    ):
+        # bitwise, mask by mask; test_train_mode compares the losses
+        model, _, _, _ = built_model(
+            "additive",
+            transformer_dropout=transformer_dropout,
+            embedding_dropout=embedding_dropout,
+        )
+        blocks, rows, sites = 4, len(LAGS.lags), 2 * (1 + 2)
+        rng, single = RngStream(3, (2,), 9), RngStream(3, (2,), 9)
+        keep, drops = model._draw_masks(rng, blocks, rows, sites)
+        each = [model._draw_masks(single, 1, rows, sites) for _ in range(blocks)]
+        assert rng.state() == single.state()
+        want_drops = [
+            None if parts[0] is None else np.concatenate(parts)
+            for parts in zip(*(d for _, d in each))
+        ]
+        self.assert_same_masks((keep, drops), (np.concatenate([k for k, _ in each]), want_drops))
+
+    def test_embedding_only_masks_are_unchanged(self):
+        # with no transformer dropout an example's one draw holds only its
+        # view mask, as in the earlier layout of one draw per mask and factor
+        model, _, _, _ = built_model("additive", transformer_dropout=0.0)
+        blocks, rows, sites = 6, len(LAGS.lags), 2 * (1 + 2)
+        rng, reference = RngStream(7, (1,), 3), RngStream(7, (1,), 3)
+        got = model._draw_masks(rng, blocks, rows, sites)
+        self.assert_same_masks(got, one_draw_per_mask(model, reference, blocks, rows, sites))
+        assert rng.state() == reference.state()
 
     def test_small_training_run_is_pinned(self):
         # final parameters of a short additive run with both dropouts live,
-        # as per-example draws gave them
+        # as one draw per example gives them
         frame = small_frame(n=400, seed=4)
         model_config = ModelConfig(
             method="additive", d=4, heads=2, encoder_layers=1, decoder_layers=1,
@@ -488,14 +527,36 @@ class TestDropoutDraws:
         result = train(frame, model_config, train_config, lag_set=LAGS)
         assert (
             hashlib.sha256(result.final_params.tobytes()).hexdigest()
-            == "120a3c4bd1085296120960fbac7aee4e906349488e21534fdcbf158b3169443a"
+            == "be0d04d98db926a9ae79af2d162678da95eb96da6aef13dc67ee15466543165d"
         )
 
 
-def per_example_masks(model, rng, blocks, rows, sites):
-    """``_draw_masks`` under an RngStream as it was before batched draws:
-    one ``draw`` per example's view mask and per sublayer factor, example
-    by example, each thresholded on its own."""
+def one_draw_per_example(model, rng, blocks, rows, sites):
+    """``_draw_masks`` under an RngStream by hand: one ``draw().random``
+    per example, split into the view mask's F values (under embedding
+    dropout) and one ``(rows, width)`` block per sublayer (under
+    transformer dropout), in that order."""
+    p_e, p = model.config.embedding_dropout, model.config.transformer_dropout
+    f, width = model.n_views, model.width
+    views = f if p_e > 0.0 else 0
+    units = sites if p > 0.0 else 0
+    keep = np.ones((blocks, f), dtype=bool)
+    factors = []
+    for b in range(blocks):
+        u = rng.draw().random(views + units * rows * width)
+        if views:
+            keep[b] = u[:f] >= p_e
+        parts = u[views:].reshape(units, rows, width)
+        factors.append([(part >= p) / (1.0 - p) for part in parts])
+    keep[:, model.target_view] = True
+    drops = [np.concatenate(site) for site in zip(*factors)] if units else [None] * sites
+    return keep, drops
+
+
+def one_draw_per_mask(model, rng, blocks, rows, sites):
+    """``_draw_masks`` under an RngStream in its earlier layout: one
+    ``draw`` per example's view mask and per sublayer factor, example by
+    example, each thresholded on its own."""
     p_e, p = model.config.embedding_dropout, model.config.transformer_dropout
     keep = np.ones((blocks, model.n_views), dtype=bool)
     factors = []
