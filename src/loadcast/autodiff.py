@@ -2,20 +2,30 @@
 
 The graph is rebuilt on every forward pass (define-by-run): each operation
 returns a new :class:`Mat` holding its value, the parent nodes, and a closure
-that propagates the output adjoint back to the parents.  ``backward`` walks
-the graph once in reverse topological order.  Gradients accumulate until
+that propagates the output adjoint back to the parents.  ``backward`` runs
+those closures once each, newest node first.  Gradients accumulate until
 ``zero_grad`` is called, so repeated backward passes without a reset add up.
+
+A primitive may be a whole sublayer (:func:`ffn`, :func:`residual_norm`,
+:func:`attention_sublayer`): with a hand-written vjp it is one node however
+many array operations it runs.
 
 Everything is double precision and strictly 2-D: row vectors are ``(1, n)``,
 scalars are ``(1, 1)``.
 """
 from __future__ import annotations
 
+import itertools
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 LAYER_NORM_EPS = 1e-5
+
+# numbers every Mat in creation order; only the order is read, so one
+# counter serves every graph in the process
+_created = itertools.count()
 
 
 class Mat:
@@ -25,9 +35,11 @@ class Mat:
     shape as ``values`` and reads as zeros until ``backward`` adds to it.
     Its buffer is allocated on first read, so a forward pass that nothing
     differentiates allocates none; assigning ``grad`` rebinds the buffer.
+    ``_seq`` numbers the nodes in creation order, so every node comes after
+    its parents.
     """
 
-    __slots__ = ("values", "_grad", "_parents", "_vjp")
+    __slots__ = ("values", "_grad", "_parents", "_vjp", "_seq")
 
     def __init__(self, values, _parents: tuple = (), _vjp: Callable | None = None):
         v = np.asarray(values, dtype=np.float64)
@@ -41,6 +53,7 @@ class Mat:
         self._grad = None
         self._parents = _parents
         self._vjp = _vjp
+        self._seq = next(_created)
 
     @property
     def grad(self) -> np.ndarray:
@@ -79,9 +92,9 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
         return grad
     out = grad
     if shape[0] == 1 and out.shape[0] != 1:
-        out = out.sum(axis=0, keepdims=True)
+        out = np.add.reduce(out, axis=0, keepdims=True)
     if shape[1] == 1 and out.shape[1] != 1:
-        out = out.sum(axis=1, keepdims=True)
+        out = np.add.reduce(out, axis=1, keepdims=True)
     if out.shape != shape:
         raise ValueError(f"cannot reduce gradient {grad.shape} to {shape}")
     return out
@@ -174,12 +187,29 @@ def affine(x, w, b) -> Mat:
     return out
 
 
-def relu(x) -> Mat:
-    x = as_mat(x)
-    out = Mat(np.maximum(x.values, 0.0), (x,))
+def ffn(x, w1, b1, w2, b2, factor: np.ndarray | None = None) -> Mat:
+    """``relu(x @ w1 + b1) @ w2 + b2`` as one node, times the dropout
+    ``factor`` when one is given."""
+    x, w1, b1, w2, b2 = (as_mat(m) for m in (x, w1, b1, w2, b2))
+    hidden = x.values @ w1.values
+    hidden += b1.values
+    np.maximum(hidden, 0.0, out=hidden)
+    value = hidden @ w2.values
+    value += b2.values
+    if factor is not None:
+        value *= factor
+    out = Mat(value, (x, w1, b1, w2, b2))
 
     def vjp(g):
-        x.grad += g * (x.values > 0)
+        if factor is not None:
+            g = g * factor
+        gh = g @ w2.values.T
+        w2.grad += hidden.T @ g
+        b2.grad += _unbroadcast(g, b2.values.shape)
+        gh *= hidden > 0
+        x.grad += gh @ w1.values.T
+        w1.grad += x.values.T @ gh
+        b1.grad += _unbroadcast(gh, b1.values.shape)
 
     out._vjp = vjp
     return out
@@ -198,20 +228,12 @@ def absolute(x) -> Mat:
     return out
 
 
-def block_attention(q, k, v, blocks: int = 1, heads: int = 1) -> tuple[Mat, np.ndarray]:
-    """Multi-head scaled dot-product attention inside row blocks.
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, blocks: int, heads: int):
+    """The softmax-attention math of :func:`block_attention` on arrays.
 
-    ``q`` stacks ``blocks`` query blocks of equal height; ``k`` and ``v``
-    stack as many key/value blocks.  Rows of query block ``b`` attend only
-    to rows of key block ``b``.  Columns split evenly into ``heads`` heads;
-    head ``h`` computes ``softmax(Q_h K_hᵀ / sqrt(d_h)) V_h``, row-wise, and the
-    head outputs are laid side by side, as a concatenation of per-head
-    attention would.
-
-    Returns the output and the attention weights, shaped
-    ``(blocks, heads, query rows per block, key rows per block)``.
+    Returns the output, the weights and a function from the output's
+    adjoint to the adjoints of ``q``, ``k`` and ``v``.
     """
-    q, k, v = as_mat(q), as_mat(k), as_mat(v)
     (nq, dq), (nk, dk), (nv, dv) = q.shape, k.shape, v.shape
     if dq != dk:
         raise ValueError(f"query width {dq} != key width {dk}")
@@ -229,20 +251,84 @@ def block_attention(q, k, v, blocks: int = 1, heads: int = 1) -> tuple[Mat, np.n
     def merge(values):  # inverse of split
         return values.transpose(0, 2, 1, 3).reshape(values.shape[0] * values.shape[2], -1)
 
-    qh, kh, vh = split(q.values, lq), split(k.values, lk), split(v.values, lk)
+    qh, kh, vh = split(q, lq), split(k, lk), split(v, lk)
     c = 1.0 / np.sqrt(dq // heads)
     scores = (qh @ kh.swapaxes(-1, -2)) * c
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
-    out = Mat(merge(w @ vh), (q, k, v))
+    e = np.exp(scores - np.maximum.reduce(scores, axis=-1, keepdims=True))
+    w = e / np.add.reduce(e, axis=-1, keepdims=True)
 
-    def vjp(g):
+    def back(g):
         gh = split(g, lq)
         gw = gh @ vh.swapaxes(-1, -2)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
-        q.grad += merge(gs @ kh)
-        k.grad += merge(gs.swapaxes(-1, -2) @ qh)
-        v.grad += merge(w.swapaxes(-1, -2) @ gh)
+        gs = w * (gw - np.add.reduce(gw * w, axis=-1, keepdims=True)) * c
+        return merge(gs @ kh), merge(gs.swapaxes(-1, -2) @ qh), merge(w.swapaxes(-1, -2) @ gh)
+
+    return merge(w @ vh), w, back
+
+
+def block_attention(q, k, v, blocks: int = 1, heads: int = 1) -> tuple[Mat, np.ndarray]:
+    """Multi-head scaled dot-product attention inside row blocks.
+
+    ``q`` stacks ``blocks`` query blocks of equal height; ``k`` and ``v``
+    stack as many key/value blocks.  Rows of query block ``b`` attend only
+    to rows of key block ``b``.  Columns split evenly into ``heads`` heads;
+    head ``h`` computes ``softmax(Q_h K_hᵀ / sqrt(d_h)) V_h``, row-wise, and the
+    head outputs are laid side by side, as a concatenation of per-head
+    attention would.
+
+    Returns the output and the attention weights, shaped
+    ``(blocks, heads, query rows per block, key rows per block)``.
+    """
+    q, k, v = as_mat(q), as_mat(k), as_mat(v)
+    value, w, back = _attend(q.values, k.values, v.values, blocks, heads)
+    out = Mat(value, (q, k, v))
+
+    def vjp(g):
+        gq, gk, gv = back(g)
+        q.grad += gq
+        k.grad += gk
+        v.grad += gv
+
+    out._vjp = vjp
+    return out, w
+
+
+def attention_sublayer(
+    xq, xk, xv, wq, wk, wv, wo, blocks: int = 1, heads: int = 1,
+    factor: np.ndarray | None = None,
+) -> tuple[Mat, np.ndarray]:
+    """``block_attention(xq @ wq, xk @ wk, xv @ wv) @ wo`` as one node,
+    times the dropout ``factor`` when one is given.
+
+    ``xv`` given as a plain array is a constant and gets no gradient.  An
+    input passed in more than one place (self-attention) collects its
+    query, then key, then value gradient.  Returns the output and the
+    attention weights, as :func:`block_attention` does.
+    """
+    xq, xk, wq, wk, wv, wo = (as_mat(m) for m in (xq, xk, wq, wk, wv, wo))
+    constant = not isinstance(xv, Mat)
+    v_in = np.asarray(xv, dtype=np.float64) if constant else xv.values
+    att, w, back = _attend(
+        xq.values @ wq.values, xk.values @ wk.values, v_in @ wv.values, blocks, heads
+    )
+    value = att @ wo.values
+    if factor is not None:
+        value *= factor
+    inputs = (xq, xk) if constant else (xq, xk, xv)
+    out = Mat(value, inputs + (wq, wk, wv, wo))
+
+    def vjp(g):
+        if factor is not None:
+            g = g * factor
+        wo.grad += att.T @ g
+        gq, gk, gv = back(g @ wo.values.T)
+        xq.grad += gq @ wq.values.T
+        wq.grad += xq.values.T @ gq
+        xk.grad += gk @ wk.values.T
+        wk.grad += xk.values.T @ gk
+        if not constant:
+            xv.grad += gv @ wv.values.T
+        wv.grad += v_in.T @ gv
 
     out._vjp = vjp
     return out, w
@@ -253,26 +339,35 @@ def layer_norm_rows(x, gain, bias) -> Mat:
 
     ``gain`` and ``bias`` are ``(1, D)`` and broadcast over rows.
     """
-    x, gain, bias = as_mat(x), as_mat(gain), as_mat(bias)
-    v = x.values
+    return residual_norm(x, None, gain, bias)
+
+
+def residual_norm(x, r, gain, bias) -> Mat:
+    """``layer_norm_rows(x + r, gain, bias)`` as one node; ``r`` None
+    normalises ``x`` alone.  Each row mean is ``np.add.reduce / D``, the
+    bits of ``ndarray.mean``."""
+    inputs = tuple(as_mat(m) for m in ((x,) if r is None else (x, r)))
+    gain, bias = as_mat(gain), as_mat(bias)
+    v = inputs[0].values if r is None else inputs[0].values + inputs[1].values
     d = v.shape[1]
-    mu = v.mean(axis=1, keepdims=True)
-    centered = v - mu
-    var = (centered ** 2).mean(axis=1, keepdims=True)
+    centered = v - np.add.reduce(v, axis=1, keepdims=True) / d
+    var = np.add.reduce(centered**2, axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
-    out = Mat(xhat * gain.values + bias.values, (x, gain, bias))
+    out = Mat(xhat * gain.values + bias.values, inputs + (gain, bias))
 
     def vjp(g):
         gain.grad += _unbroadcast(g * xhat, gain.values.shape)
         bias.grad += _unbroadcast(g, bias.values.shape)
         gx = g * gain.values
         # standard layer-norm backward over the row axis
-        x.grad += inv * (
+        gv = inv * (
             gx
-            - gx.mean(axis=1, keepdims=True)
-            - xhat * (gx * xhat).sum(axis=1, keepdims=True) / d
+            - np.add.reduce(gx, axis=1, keepdims=True) / d
+            - xhat * np.add.reduce(gx * xhat, axis=1, keepdims=True) / d
         )
+        for m in inputs:
+            m.grad += gv
 
     out._vjp = vjp
     return out
@@ -314,7 +409,8 @@ def embed(x, views: Sequence[tuple], gates: Sequence[Mat], keep=None, summed=Tru
             k, j = np.argwhere(bad)[0]
             raise IndexError(f"embedding index {codes[k, j]:.0f} outside table of size {cards[k]}")
         codes = codes.astype(np.int64)
-        pre[lookup] = np.concatenate(tables)[codes + (np.cumsum(cards) - cards)[:, None]]
+        stacked = codes + (np.cumsum(cards) - cards)[:, None]  # rows of the stacked tables
+        pre[lookup] = np.concatenate(tables)[stacked]
     if affine:
         w, b = (np.concatenate([views[i][k].values for i in affine]) for k in (0, 1))
         pre[affine] = x[:, affine].T[:, :, None] * w[:, None] + b[:, None]
@@ -341,12 +437,16 @@ def embed(x, views: Sequence[tuple], gates: Sequence[Mat], keep=None, summed=Tru
         for gate, total in zip(gates, moments.sum(axis=1).sum(axis=1)):
             gate.grad += total
         grads = grads * factor
-        for j, i in enumerate(lookup):
-            # bincount adds in row order into zeros: np.add.at's sums
-            table = views[i][0]
-            card, d = table.values.shape
-            slots = (codes[j][:, None] * d + np.arange(d)).ravel()
-            table.grad += np.bincount(slots, grads[i].ravel(), card * d).reshape(card, d)
+        if lookup:
+            # one bincount over the stacked tables adds in row order into
+            # zeros, np.add.at's sums, and no two tables share a slot
+            d = grads.shape[2]
+            slots = stacked[:, :, None] * d + np.arange(d)
+            sums = np.bincount(slots.ravel(), grads[lookup].ravel(), cards.sum() * d)
+            sums = sums.reshape(-1, d)
+            ends = np.cumsum(cards).tolist()
+            for i, lo, hi in zip(lookup, [0] + ends, ends):
+                views[i][0].grad += sums[lo:hi]
         for i in affine:  # one matmul per view rounds as ad.affine's does
             w, b = views[i]
             w.grad += x[:, i].reshape(-1, 1).T @ grads[i]
@@ -419,27 +519,21 @@ def backward(loss: Mat) -> None:
     if loss.values.shape != (1, 1):
         raise ValueError(f"backward expects a 1x1 loss, got shape {loss.shape}")
 
-    # iterative post-order topological sort (graphs can be thousands deep)
-    topo: list[Mat] = []
-    visited: set[int] = set()
-    stack: list[tuple[Mat, bool]] = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
+    # every node with a vjp that the loss reaches through such nodes, newest
+    # first: a node is created after its parents, so it runs after every
+    # node that consumes it.  Leaves are never visited.
+    nodes: list[Mat] = [loss] if loss._vjp is not None else []
+    seen = {id(loss)}
+    for node in nodes:  # grows while it is walked
         for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+            if parent._vjp is not None and id(parent) not in seen:
+                seen.add(id(parent))
+                nodes.append(parent)
+    nodes.sort(key=attrgetter("_seq"), reverse=True)
 
     loss.grad = loss.grad + 1.0
-    for node in reversed(topo):
-        if node._vjp is not None:
-            node._vjp(node.grad)
+    for node in nodes:
+        node._vjp(node.grad)
 
 
 def zero_grad(params: Iterable[Mat]) -> None:

@@ -97,13 +97,14 @@ def window_faults(
     stop = np.minimum(np.maximum(anchors + horizons + 1, 0), n)
     faults[1] = others_gap[stop] > others_gap[first]
     faults[4] = load_gap[stop] > load_gap[first]
-    # an anchor before the deepest lag already fails, so its reads may move
-    # into the frame
-    inside = np.maximum(anchors, lags[0])
-    for offset, chunk, _ in _history_reads(width, tau, lags):
-        rows = np.minimum(inside + offset, n - 1)
-        hit = any_gap[rows + 1] > any_gap[rows]
-        faults[3] |= hit & (horizons > chunk * tau) if chunk else hit
+    # every history read of every anchor, (anchors, reads); an anchor before
+    # the deepest lag already fails, so its reads may move into the frame
+    offset, chunk, _ = np.array(_history_reads(width, tau, lags)).T
+    rows = np.minimum(np.maximum(anchors, lags[0])[:, None] + offset, n - 1)
+    hit = any_gap[rows + 1] > any_gap[rows]
+    # a later chunk's reads count only where the window reaches that chunk
+    hit &= (chunk == 0) | (horizons.reshape(-1, 1) > chunk * tau)
+    faults[3] = hit.any(axis=1)
     return faults
 
 

@@ -6,7 +6,9 @@ the svd method), gated by a learnable scalar, optionally masked out, and
 aggregated into the encoder input, all views in one step
 (:func:`autodiff.embed`).  A small encoder/decoder attention stack
 maps the aggregate to a multi-hour forecast read off the most recent lag
-row.
+row.  Each sublayer of the stack is one tape node: the attention sublayer
+with its projections and dropout, the feed-forward block with its dropout,
+and the residual sum with its layer norm.
 """
 from __future__ import annotations
 
@@ -114,11 +116,17 @@ class Quantizer:
 
     def index(self, x: np.ndarray) -> np.ndarray:
         """Bin index per value, clamped to the edge bins outside the range."""
-        raw = np.floor((np.asarray(x) - self.lo) / self.bin_width)
-        return np.clip(raw, 0, self.bins - 1).astype(np.int64)
+        return _bin(x, self.lo, self.bin_width, self.bins)
 
     def edges(self) -> np.ndarray:
         return self.lo + self.bin_width * np.arange(self.bins + 1)
+
+
+def _bin(x, lo, width, bins) -> np.ndarray:
+    """Equal-width bin indices of ``x``; ``lo``, ``width`` and ``bins`` are
+    one quantizer's or, broadcast over columns, one per column."""
+    raw = np.floor((np.asarray(x) - lo) / width)
+    return np.clip(raw, 0, np.asarray(bins) - 1).astype(np.int64)
 
 
 @dataclass
@@ -154,12 +162,16 @@ def attention(
     if v.shape[0] != k.shape[0]:
         raise ConfigError(f"key rows {k.shape[0]} != value rows {v.shape[0]}")
     out, weights = ad.block_attention(q, k, v, blocks, heads)
-    if trace is not None:
-        for h in range(heads):
-            trace.attention.append(
-                weights[:, h].reshape(-1, weights.shape[-1]).copy()
-            )
+    _record(trace, weights)
     return out
+
+
+def _record(trace: ModelTrace | None, weights: np.ndarray) -> None:
+    """Append one map per head of ``(blocks, heads, rows, keys)`` attention
+    weights to ``trace``, the blocks' maps stacked row-wise."""
+    if trace is not None:
+        for h in range(weights.shape[1]):
+            trace.attention.append(weights[:, h].reshape(-1, weights.shape[-1]).copy())
 
 
 class Model:
@@ -357,12 +369,14 @@ class Model:
 
     def _embed(self, x: np.ndarray, keep: np.ndarray) -> Mat:
         """Embed stacked lag rows ``x``; ``keep`` is the ``(blocks, F)`` mask."""
-        x = x.copy() if self._binned else x
-        for i in self._binned:
-            q = self.quantizers.get(self.specs[i].name)
-            if q is None:
-                raise ConfigError(f"no fitted quantizer for view {self.specs[i].name!r}")
-            x[:, i] = q.index(x[:, i])
+        if self._binned:  # every quantized view binned in one pass
+            quantizers = [self.quantizers.get(self.specs[i].name) for i in self._binned]
+            for i, q in zip(self._binned, quantizers):
+                if q is None:
+                    raise ConfigError(f"no fitted quantizer for view {self.specs[i].name!r}")
+            lo, width, bins = np.array([(q.lo, q.bin_width, q.bins) for q in quantizers]).T
+            x = x.copy()
+            x[:, self._binned] = _bin(x[:, self._binned], lo, width, bins)
         mask = None if keep.all() else np.repeat(keep, len(x) // len(keep), axis=0)
         return ad.embed(x, self.views, self.gates, mask, self.config.method == "additive")
 
@@ -371,24 +385,31 @@ class Model:
         prefix: str,
         q_src: Mat,
         k_src: Mat,
-        v_src: Mat,
+        v_src: Mat | np.ndarray,
         blocks: int,
         trace: ModelTrace | None,
+        factor: np.ndarray | None = None,
     ) -> Mat:
-        p = self.params
-        q = q_src @ p[f"{prefix}/attn/wq"]
-        k = k_src @ p[f"{prefix}/attn/wk"]
-        v = v_src @ p[f"{prefix}/attn/wv"]
-        out = attention(q, k, v, trace, blocks, self.config.heads)
-        return out @ p[f"{prefix}/attn/wo"]
+        """The attention sublayer ``prefix``, its projections and dropout
+        included, as one node (:func:`autodiff.attention_sublayer`)."""
+        weights = (self.params[f"{prefix}/attn/{w}"] for w in ("wq", "wk", "wv", "wo"))
+        out, maps = ad.attention_sublayer(
+            q_src, k_src, v_src, *weights, blocks, self.config.heads, factor
+        )
+        _record(trace, maps)
+        return out
 
-    def _ffn(self, prefix: str, x: Mat) -> Mat:
+    def _ffn(self, prefix: str, x: Mat, factor: np.ndarray | None = None) -> Mat:
+        """The feed-forward sublayer ``prefix`` as one node."""
         p = self.params
-        inner = ad.relu(ad.affine(x, p[f"{prefix}/ffn/w1"], p[f"{prefix}/ffn/b1"]))
-        return ad.affine(inner, p[f"{prefix}/ffn/w2"], p[f"{prefix}/ffn/b2"])
+        return ad.ffn(
+            x, p[f"{prefix}/ffn/w1"], p[f"{prefix}/ffn/b1"],
+            p[f"{prefix}/ffn/w2"], p[f"{prefix}/ffn/b2"], factor,
+        )
 
     @staticmethod
     def _dropped(x: Mat, factor: np.ndarray | None) -> Mat:
+        """``x`` times a dropout factor as a node of its own."""
         return x if factor is None else ad.mul(x, Mat(factor))
 
     def encode(
@@ -409,15 +430,10 @@ class Model:
         drops = iter(drops or ())
         h = z
         for i in range(1, self.config.encoder_layers + 1):
-            attn = self._multi_head(f"enc{i}", h, h, h, blocks, trace)
-            attn = self._dropped(attn, next(drops, None))
-            h = ad.layer_norm_rows(
-                ad.add(h, attn), p[f"enc{i}/norm1/gain"], p[f"enc{i}/norm1/bias"]
-            )
-            f = self._dropped(self._ffn(f"enc{i}", h), next(drops, None))
-            h = ad.layer_norm_rows(
-                ad.add(h, f), p[f"enc{i}/norm2/gain"], p[f"enc{i}/norm2/bias"]
-            )
+            attn = self._multi_head(f"enc{i}", h, h, h, blocks, trace, next(drops, None))
+            h = ad.residual_norm(h, attn, p[f"enc{i}/norm1/gain"], p[f"enc{i}/norm1/bias"])
+            f = self._ffn(f"enc{i}", h, next(drops, None))
+            h = ad.residual_norm(h, f, p[f"enc{i}/norm2/gain"], p[f"enc{i}/norm2/bias"])
         return h
 
     def decode(
@@ -430,10 +446,10 @@ class Model:
     ) -> Mat:
         """Cross-attention stack; queries and keys from the encoder output.
 
-        The first layer's values come from the raw lag matrix, later layers
-        from the previous layer's output.  The residual stream starts at the
-        attention output, since the raw input's width differs from the model
-        width.  ``drops`` works as in :meth:`encode`.
+        The first layer's values come from the raw lag matrix, a constant,
+        later layers from the previous layer's output.  The residual stream
+        starts at the attention output, since the raw input's width differs
+        from the model width.  ``drops`` works as in :meth:`encode`.
 
         Under ``head_reduce: last`` the last layer queries only the row the
         head reads, each block's last, and returns one row per block.  This
@@ -448,7 +464,7 @@ class Model:
             )
         p = self.params
         drops = iter(drops or ())
-        y = Mat(raw)
+        y = raw
         last = self.config.decoder_layers
         for i in range(1, last + 1):
             q, attn_drop, ffn_drop = h, next(drops, None), next(drops, None)
@@ -457,15 +473,10 @@ class Model:
                 q = ad.take_rows(h, tail)
                 attn_drop = None if attn_drop is None else attn_drop[tail]
                 ffn_drop = None if ffn_drop is None else ffn_drop[tail]
-            attn = self._multi_head(f"dec{i}", q, h, y, blocks, trace)
-            attn = self._dropped(attn, attn_drop)
-            a = ad.layer_norm_rows(
-                attn, p[f"dec{i}/norm1/gain"], p[f"dec{i}/norm1/bias"]
-            )
-            f = self._dropped(self._ffn(f"dec{i}", a), ffn_drop)
-            y = ad.layer_norm_rows(
-                ad.add(a, f), p[f"dec{i}/norm2/gain"], p[f"dec{i}/norm2/bias"]
-            )
+            attn = self._multi_head(f"dec{i}", q, h, y, blocks, trace, attn_drop)
+            a = ad.layer_norm_rows(attn, p[f"dec{i}/norm1/gain"], p[f"dec{i}/norm1/bias"])
+            f = self._ffn(f"dec{i}", a, ffn_drop)
+            y = ad.residual_norm(a, f, p[f"dec{i}/norm2/gain"], p[f"dec{i}/norm2/bias"])
         return y
 
     def head(self, y: Mat, blocks: int = 1) -> Mat:

@@ -36,7 +36,7 @@ class TestScalarRules:
     def test_backward_requires_scalar(self):
         x = Mat(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            ad.backward(ad.relu(x))
+            ad.backward(ad.absolute(x))
 
     def test_gradient_accumulates_until_cleared(self):
         x = Mat(np.array([[2.0]]))
@@ -88,9 +88,12 @@ class TestPrimitiveGradients:
         )
 
     def test_relu(self):
-        # keep values away from the kink at 0
+        # ffn's relu alone: identity weights, zero biases; keep values away
+        # from the kink at 0
+        eye, zero = Mat(np.eye(4)), Mat(np.zeros((1, 4)))
+
         def loss(a):
-            return ad.mean(ad.relu(a))
+            return ad.mean(ad.ffn(a, eye, zero, eye, zero))
 
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -173,8 +176,8 @@ class TestPrimitiveGradients:
 
     def test_three_layer_composition(self):
         def loss(x, w1, w2, g, b):
-            h = ad.relu(ad.matmul(x, w1))
-            h = ad.layer_norm_rows(ad.matmul(h, w2), g, b)
+            h = ad.ffn(x, w1, Mat(np.zeros((1, 6))), w2, Mat(np.zeros((1, 5))))
+            h = ad.layer_norm_rows(h, g, b)
             return ad.mean(ad.mul(h, h))
 
         self.run_cases(loss, 5, [(3, 4), (4, 6), (6, 5), (1, 5), (1, 5)], seeds=30)
@@ -267,3 +270,182 @@ class TestRngStream:
         ).random(9)
         np.testing.assert_array_equal(s.draw().random(9), want)
         assert s.counter == counter + 1
+
+
+def relu(x):
+    """The elementwise relu primitive that ``ad.ffn`` took in, kept as the
+    reference of its bitwise test."""
+    x = ad.as_mat(x)
+    out = Mat(np.maximum(x.values, 0.0), (x,))
+
+    def vjp(g):
+        x.grad += g * (x.values > 0)
+
+    out._vjp = vjp
+    return out
+
+
+def layer_norm_by_mean(x, gain, bias):
+    """``ad.layer_norm_rows`` with ``ndarray.mean`` for its means, as it
+    was written before its reductions went through ``np.add.reduce``."""
+    x, gain, bias = ad.as_mat(x), ad.as_mat(gain), ad.as_mat(bias)
+    v = x.values
+    d = v.shape[1]
+    centered = v - v.mean(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered**2).mean(axis=1, keepdims=True) + ad.LAYER_NORM_EPS)
+    xhat = centered * inv
+    out = Mat(xhat * gain.values + bias.values, (x, gain, bias))
+
+    def vjp(g):
+        gain.grad += ad._unbroadcast(g * xhat, gain.values.shape)
+        bias.grad += ad._unbroadcast(g, bias.values.shape)
+        gx = g * gain.values
+        x.grad += inv * (
+            gx
+            - gx.mean(axis=1, keepdims=True)
+            - xhat * (gx * xhat).sum(axis=1, keepdims=True) / d
+        )
+
+    out._vjp = vjp
+    return out
+
+
+def post_order_backward(loss):
+    """``ad.backward`` as a depth-first post-order walk of the graph: the
+    order in which the composed primitives added into a shared input's
+    gradient before each sublayer became one node."""
+    topo, visited, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            if id(parent) not in visited:
+                stack.append((parent, False))
+    loss.grad = loss.grad + 1.0
+    for node in reversed(topo):
+        if node._vjp is not None:
+            node._vjp(node.grad)
+
+
+# attention sublayer inputs, two blocks of rows: self-attention on one
+# input; the decoder's first layer, whose values are a constant array three
+# columns wide; the decoder's tail, one query row per block
+def attention_case(case, rng):
+    """``(xq, xk, xv, [wq, wk, wv, wo], differentiable inputs)``."""
+    if case == "self":
+        x = rand_mat(rng, 6, 4)
+        xq = xk = xv = x
+        inputs, v_width = [x], 4
+    elif case == "constant values":
+        xq, xk = rand_mat(rng, 6, 4), rand_mat(rng, 6, 4)
+        xv = rng.uniform(-2.0, 2.0, (6, 3))
+        inputs, v_width = [xq, xk], 3
+    else:
+        xq, xk, xv = rand_mat(rng, 2, 4), rand_mat(rng, 8, 4), rand_mat(rng, 8, 4)
+        inputs, v_width = [xq, xk, xv], 4
+    weights = [rand_mat(rng, r, 4) for r in (4, 4, v_width, 4)]
+    return xq, xk, xv, weights, inputs
+
+
+def fused_and_composed(kind, rng, dropout):
+    """One sublayer node and the composition of primitives it replaces, as
+    two functions of the same inputs, each returning the node and a 1x1
+    loss over it: ``(fused, composed, named inputs)``."""
+    if kind == "ffn":
+        args = [rand_mat(rng, r, c) for r, c in [(5, 4), (4, 6), (1, 6), (6, 3), (1, 3)]]
+        shape = (5, 3)
+
+        def fused():
+            return ad.ffn(*args, factor)
+
+        def composed():
+            x, w1, b1, w2, b2 = args
+            return ad.affine(relu(ad.affine(x, w1, b1)), w2, b2)
+
+    elif kind == "residual_norm":
+        args = [rand_mat(rng, r, 6) for r in (4, 4, 1, 1)]
+        shape = (4, 6)
+
+        def fused():
+            return ad.residual_norm(*args)
+
+        def composed():
+            x, r, gain, bias = args
+            return layer_norm_by_mean(ad.add(x, r), gain, bias)
+
+    else:
+        xq, xk, xv, weights, inputs = attention_case(kind, rng)
+        args = inputs + weights
+        shape = (xq.shape[0], 4)
+
+        def fused():
+            return ad.attention_sublayer(xq, xk, xv, *weights, 2, 2, factor)[0]
+
+        def composed():
+            wq, wk, wv, wo = weights
+            q, k, v = ad.matmul(xq, wq), ad.matmul(xk, wk), ad.matmul(xv, wv)
+            return ad.matmul(ad.block_attention(q, k, v, 2, 2)[0], wo)
+
+    probe = Mat(rng.uniform(-2.0, 2.0, shape))
+    factor = ad.dropout_factor(rng.random(shape), 0.4) if dropout else None
+
+    def with_loss(node, dropped):
+        def run():
+            out = node()
+            if dropped and factor is not None:  # the separate dropout node
+                out = ad.mul(out, Mat(factor))
+            return out, ad.mean(ad.mul(out, probe))
+
+        return run
+
+    named = [(f"m{i}", m) for i, m in enumerate(args)]
+    return with_loss(fused, False), with_loss(composed, True), named
+
+
+# (node, with a dropout factor); the norm takes none
+FUSED_CASES = [("ffn", False), ("ffn", True), ("residual_norm", False)] + [
+    (case, dropout) for case in ("self", "constant values", "tail") for dropout in (False, True)
+]
+FUSED_IDS = [f"{kind}-{'dropout' if dropout else 'plain'}" for kind, dropout in FUSED_CASES]
+
+
+class TestFusedPrimitives:
+    """Each sublayer node against central differences over 100 seeds, and
+    bitwise against the primitives it replaces: its value and the gradient
+    of every input and parameter."""
+
+    @pytest.mark.parametrize("kind, dropout", FUSED_CASES, ids=FUSED_IDS)
+    def test_finite_differences(self, kind, dropout):
+        for seed in range(100):
+            fused, _, params = fused_and_composed(kind, np.random.default_rng(seed), dropout)
+            check_grads(lambda: fused()[1], params)
+
+    @pytest.mark.parametrize("kind, dropout", FUSED_CASES, ids=FUSED_IDS)
+    def test_equals_composition_bitwise(self, kind, dropout):
+        for seed in range(20):
+            fused, composed, params = fused_and_composed(kind, np.random.default_rng(seed), dropout)
+            mats = [m for _, m in params]
+            results = []
+            for run, backward in ((fused, ad.backward), (composed, post_order_backward)):
+                ad.zero_grad(mats)
+                value, loss = run()
+                backward(loss)
+                results.append([value.values.tobytes()] + [m.grad.tobytes() for m in mats])
+            assert results[0] == results[1]
+
+    def test_attention_weights_are_block_attentions(self):
+        xq, xk, xv, (wq, wk, wv, wo), _ = attention_case("tail", np.random.default_rng(3))
+        _, weights = ad.attention_sublayer(xq, xk, xv, wq, wk, wv, wo, 2, 2)
+        _, want = ad.block_attention(xq @ wq, xk @ wk, xv @ wv, 2, 2)
+        assert weights.tobytes() == want.tobytes()
+
+    def test_constant_values_are_not_a_parent(self):
+        xq, xk, xv, weights, inputs = attention_case("constant values", np.random.default_rng(4))
+        out, _ = ad.attention_sublayer(xq, xk, xv, *weights, 2, 2)
+        assert out._parents == tuple(inputs + weights)

@@ -7,9 +7,11 @@ import pytest
 from loadcast.errors import FrameTooShortError
 from loadcast.lags import (
     LagSet,
+    _history_reads,
     build_batch,
     lag_set_for_history,
     valid_timestamps,
+    window_faults,
 )
 
 from conftest import small_frame, target_only_frame
@@ -40,6 +42,30 @@ def brute_force_anchors(frame, lags, horizon):
         if ok:
             out.append(t)
     return out
+
+
+def window_faults_loop(frame, anchors, horizon, lags, tau=None):
+    """Reference ``window_faults``: row 3 as a loop over the history reads,
+    one array of anchors per read."""
+    anchors = np.asarray(anchors, dtype=np.int64)
+    horizons = np.asarray(horizon, dtype=np.int64)
+    n = frame.n_rows
+    width = int(horizons.max(initial=0))
+    tau = max(width, 1) if tau is None else tau
+    any_gap, others_gap, load_gap = frame.gap_counts
+    faults = np.zeros((5, len(anchors)), dtype=bool)
+    faults[0] = (horizons > 0) & (anchors + horizons >= n)
+    faults[2] = anchors - lags[0] < 0
+    first = np.minimum(np.maximum(anchors + 1, 0), n)
+    stop = np.minimum(np.maximum(anchors + horizons + 1, 0), n)
+    faults[1] = others_gap[stop] > others_gap[first]
+    faults[4] = load_gap[stop] > load_gap[first]
+    inside = np.maximum(anchors, lags[0])
+    for offset, chunk, _ in _history_reads(width, tau, lags):
+        rows = np.minimum(inside + offset, n - 1)
+        hit = any_gap[rows + 1] > any_gap[rows]
+        faults[3] |= hit & (horizons > chunk * tau) if chunk else hit
+    return faults
 
 
 class TestLagSet:
@@ -175,6 +201,31 @@ class TestBuildInput:
             x = lag_rows(frame, t, LagSet(lags))
             for j, lag in enumerate(lags):
                 np.testing.assert_array_equal(x[j], frame.values[t - lag])
+
+
+class TestWindowFaults:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_loop_over_reads(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(60, 400))
+        frame = small_frame(n=n, seed=seed)
+        missing = rng.random(frame.missing.shape) < rng.choice([0.0, 0.01, 0.04])
+        frame = type(frame)(frame.timestamps, frame.specs, frame.values, missing)
+        lags = np.sort(rng.choice(np.arange(1, 60), int(rng.integers(1, 8)), replace=False))[::-1]
+        anchors = rng.integers(-30, n + 30, int(rng.integers(0, 200)))
+        tau = None if rng.random() < 0.3 else int(rng.integers(1, 20))
+        # per-anchor horizons include whole chunks, where a chunk's reads
+        # start or stop counting
+        horizon = rng.integers(0, 80, len(anchors))
+        if tau is not None:
+            whole = rng.random(len(anchors)) < 0.5
+            horizon[whole] = tau * rng.integers(0, 6, whole.sum())
+        if rng.random() < 0.3:
+            horizon = int(horizon[0]) if len(horizon) else 5
+        np.testing.assert_array_equal(
+            window_faults(frame, anchors, horizon, lags, tau),
+            window_faults_loop(frame, anchors, horizon, lags, tau),
+        )
 
 
 class TestBuildBatch:

@@ -362,6 +362,25 @@ class TestEmbedNode:
             model.forward(values)
 
 
+class TestGraphSize:
+    """One op node per sublayer: a ``forward_batch`` graph holds one embed
+    node, four per encoder layer (attention, residual norm, feed-forward,
+    residual norm), four per decoder layer (attention, norm, feed-forward,
+    residual norm), the tail's ``take_rows`` and the head, with or without
+    dropout."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("layers", [(1, 2), (2, 1), (0, 3)])
+    @pytest.mark.parametrize("train", [False, True])
+    def test_op_nodes_per_batch(self, method, layers, train):
+        encoder_layers, decoder_layers = layers
+        model, _, scaled, _ = built_model(
+            method, encoder_layers=encoder_layers, decoder_layers=decoder_layers
+        )
+        out = model.forward_batch(stacked_batch(scaled), RngStream(1) if train else None)
+        assert op_nodes(out) == 1 + 4 * encoder_layers + 4 * decoder_layers + 1 + 1
+
+
 class TestEncoderDecoder:
     def test_zero_encoder_layers_is_identity(self):
         model, x, _, _ = built_model("additive", encoder_layers=0)
