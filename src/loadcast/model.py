@@ -226,9 +226,12 @@ class Model:
         cls,
         config: ModelConfig,
         specs: tuple[FeatureSpec, ...],
-        rng: RngStream,
+        rng: RngStream | None,
         scaler: Scaler | None = None,
     ) -> "Model":
+        """A model of ``config`` over ``specs``, its weights drawn from
+        ``rng``; with ``rng`` None they are zeros, for a caller that fills
+        ``theta`` itself."""
         f = len(specs)
         d = config.embed_dim
         width = config.width(f)
@@ -251,6 +254,9 @@ class Model:
         params: dict[str, Mat] = {}
 
         def uniform(name: str, shape: tuple[int, int], fan_in: int) -> None:
+            if rng is None:
+                params[name] = Mat(np.zeros(shape))
+                return
             bound = math.sqrt(1.0 / fan_in)
             params[name] = Mat(rng.draw().uniform(-bound, bound, shape))
 

@@ -468,12 +468,14 @@ def _start(
     train_config: TrainConfig,
     lag_set: LagSet,
     rows: tuple[int, int],
-    stream: tuple[int, ...] = (0,),
+    stream: tuple[int, ...] | None = (0,),
 ) -> tuple[Scaler, Model, str]:
     """A run's set-up: the scaler fitted on ``rows``, a fresh model drawn
-    from the seed stream at ``stream``, and the run's fingerprint."""
+    from the seed stream at ``stream`` (with ``stream`` None, undrawn, its
+    weights zeros), and the run's fingerprint."""
     scaler = fit_scaler(frame, rows)
-    model = Model.build(model_config, frame.specs, RngStream(train_config.seed, stream), scaler)
+    rng = None if stream is None else RngStream(train_config.seed, stream)
+    model = Model.build(model_config, frame.specs, rng, scaler)
     return scaler, model, config_fingerprint(model_config, train_config, frame.specs, lag_set)
 
 
@@ -543,7 +545,9 @@ def restore(
     ``path``, set up as ``train`` set it up, with its best parameters (its
     last when it kept none); another configuration raises FingerprintError."""
     split = split_chronological(frame, train_config.split)
-    scaler, model, fingerprint = _start(frame, model_config, train_config, lag_set, split.train)
+    scaler, model, fingerprint = _start(
+        frame, model_config, train_config, lag_set, split.train, stream=None
+    )
     ckpt = load_checkpoint(path, fingerprint)
     model.theta[...] = ckpt.best_params if ckpt.best_params is not None else ckpt.params
     return model, scaler, split, fingerprint

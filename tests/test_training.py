@@ -522,6 +522,27 @@ class TestCheckpoints:
         assert split == result.split
         assert fingerprint == result.fingerprint
 
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"method": "svd", "d": None, "heads": 1}], ids=["additive", "svd"]
+    )
+    def test_restore_draws_nothing(self, tmp_path, monkeypatch, overrides):
+        frame = small_frame(n=400, seed=8)
+        mc = small_model_config(**overrides)
+        tc = small_train_config(epochs=2)
+        ck = tmp_path / "a.npz"
+        result = train(frame, mc, tc, SMALL_LAGS, checkpoint_path=str(ck))
+        draws = []
+        real_draw = RngStream.draw
+        monkeypatch.setattr(RngStream, "draw", lambda s: draws.append(1) or real_draw(s))
+        model, scaler, _, _ = restore(ck, frame, mc, tc, SMALL_LAGS)
+        assert draws == []
+        assert model.quantizers == result.model.quantizers
+        scaled = apply_scaler(frame, scaler)
+        anchors = np.arange(300, 340)
+        inputs, _, _ = build_batch(scaled, anchors, SMALL_LAGS, 0, frame.column("load"))
+        served = model.forward_batch(inputs).values
+        assert served.tobytes() == result.model.forward_batch(inputs).values.tobytes()
+
 
 class TestCvGeometry:
     def test_twelve_usable_months_make_ten_folds(self):
